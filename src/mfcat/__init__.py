@@ -32,26 +32,16 @@ from .matrices import (
     MAX_SIDE,
     PolyMatrix,
     direct_sum,
-    is_permutation_matrix,
-    is_sub_permutation01,
     kronecker,
-    mat_mul,
     matrix_literal,
     parse_matrix,
-    transpose,
 )
 from .factorizations import (
     MatrixFactorization,
     MfMorphism,
     factorization_from_text,
     factorization_to_text,
-    mf_equal,
-    mf_new,
-    morphism_compose,
-    morphism_identity,
-    morphism_new,
     random_mf1,
-    syzygy,
 )
 from .tensor_products import (
     check_syzygy_identity,

@@ -78,13 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_mf_file(text: str) -> MatrixFactorization:
-    """Parse factorization file content (validated on construction)."""
-    return factorization_from_text(text)
-
-
 def _read_factorization(path: Path) -> MatrixFactorization:
-    return parse_mf_file(path.read_text(encoding="utf-8"))
+    return factorization_from_text(path.read_text(encoding="utf-8"))
 
 
 def _emit(text: str, output: Path | None) -> None:

@@ -103,20 +103,6 @@ class MatrixFactorization:
         )
 
 
-def mf_new(
-    phi: PolyMatrix, psi: PolyMatrix, potential: Polynomial
-) -> MatrixFactorization:
-    return MatrixFactorization(phi, psi, potential)
-
-
-def mf_equal(x: MatrixFactorization, y: MatrixFactorization) -> bool:
-    return x == y
-
-
-def syzygy(x: MatrixFactorization) -> MatrixFactorization:
-    return x.syzygy()
-
-
 class MfMorphism:
     """A validated morphism between two factorizations of the same potential."""
 
@@ -146,10 +132,6 @@ class MfMorphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    @staticmethod
-    def identity(x: MatrixFactorization) -> "MfMorphism":
-        return x.identity_morphism()
 
     def compose(self, inner: "MfMorphism") -> "MfMorphism":
         """self o inner (apply ``inner`` first)."""
@@ -182,23 +164,6 @@ class MfMorphism:
             f"MfMorphism({self.source.size} -> {self.target.size}, "
             f"potential={self.source.potential})"
         )
-
-
-def morphism_new(
-    source: MatrixFactorization,
-    target: MatrixFactorization,
-    alpha: PolyMatrix,
-    beta: PolyMatrix,
-) -> MfMorphism:
-    return MfMorphism(source, target, alpha, beta)
-
-
-def morphism_identity(x: MatrixFactorization) -> MfMorphism:
-    return x.identity_morphism()
-
-
-def morphism_compose(outer: MfMorphism, inner: MfMorphism) -> MfMorphism:
-    return outer.compose(inner)
 
 
 # ---------------------------------------------------------------------------

@@ -267,11 +267,7 @@ class PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# free-function operation names
-
-
-def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a @ b
+# block constructions
 
 
 def kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -295,18 +291,6 @@ def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     for i, j, p in b.items():
         entries[(a.rows + i, a.cols + j)] = p
     return PolyMatrix(a.rows + b.rows, a.cols + b.cols, entries)
-
-
-def transpose(a: PolyMatrix) -> PolyMatrix:
-    return a.transpose()
-
-
-def is_sub_permutation01(a: PolyMatrix) -> bool:
-    return a.is_sub_permutation01()
-
-
-def is_permutation_matrix(a: PolyMatrix) -> bool:
-    return a.is_permutation_matrix()
 
 
 def hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

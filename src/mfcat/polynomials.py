@@ -12,11 +12,11 @@ between threads.
 
 Variable order
 --------------
-Canonical printing uses graded lexicographic order.  Variables are ordered by
-first appearance in a process-global registry; when several new variables are
-registered in one batch they are ordered alphabetically.  Registry indices are
-assigned once and never change, so stored monomials stay canonical as new
-variables appear.
+Variables are ordered by name (code-point order of the identifier).  Each
+stored monomial lists its variables in that order, and canonical printing uses
+descending graded lexicographic order over it, so the printed form of a
+polynomial depends only on its value, never on what the process parsed or
+built before.
 
 Grammar accepted by :func:`parse_polynomial` (whitespace insignificant)::
 
@@ -32,7 +32,6 @@ coefficient -1, so canonical output always re-parses.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -48,30 +47,9 @@ Monomial = tuple[tuple[str, int], ...]
 # typos and can make later arithmetic needlessly expensive.
 MAX_EXPONENT = 10**6
 
-# Process-global variable registry: name -> order index (first come, first
-# served; batches sorted alphabetically).  Indices never change once assigned,
-# so stored monomials stay canonical; the lock only serializes registration.
-_VAR_ORDER: dict[str, int] = {}
-_VAR_LOCK = threading.Lock()
-
-
-def register_variables(names: Iterable[str]) -> None:
-    """Register a batch of variable names, new ones in alphabetical order."""
-    with _VAR_LOCK:
-        for name in sorted(set(names) - _VAR_ORDER.keys()):
-            _VAR_ORDER[name] = len(_VAR_ORDER)
-
-
-def _var_index(name: str) -> int:
-    index = _VAR_ORDER.get(name)
-    if index is None:
-        with _VAR_LOCK:
-            index = _VAR_ORDER.setdefault(name, len(_VAR_ORDER))
-    return index
-
-
 def _sort_monomial(pairs: Iterable[tuple[str, int]]) -> Monomial:
-    return tuple(sorted(pairs, key=lambda pair: _var_index(pair[0])))
+    # A monomial names each variable once, so sorting the pairs sorts by name.
+    return tuple(sorted(pairs))
 
 
 class Polynomial:
@@ -97,12 +75,12 @@ class Polynomial:
 
     def _audit(self) -> None:
         # Internal invariant hook: no zero coefficients, positive exponents,
-        # monomials sorted by registry order.
+        # monomials sorted by variable name.
         for monomial, coefficient in self._terms.items():
             assert coefficient != 0, "stored zero coefficient"
             assert all(exp > 0 for _, exp in monomial), "non-positive exponent"
-            indices = [_var_index(var) for var, _ in monomial]
-            assert indices == sorted(indices), "monomial not in registry order"
+            names = [var for var, _ in monomial]
+            assert names == sorted(names), "monomial not in name order"
 
     # -- constructors -------------------------------------------------------
 
@@ -125,10 +103,6 @@ class Polynomial:
         if exponent == 0:
             return _ONE
         return Polynomial({((name, exponent),): Fraction(1)})
-
-    @staticmethod
-    def parse(text: str) -> "Polynomial":
-        return parse_polynomial(text)
 
     # -- queries -------------------------------------------------------------
 
@@ -278,12 +252,10 @@ ONE = _ONE
 
 def _grlex_key(monomial: Monomial) -> tuple:
     # Descending graded lexicographic order: compare total degree first, then
-    # the exponent vector over the monomial's variables in registry order.
-    # Padding with registry index makes (x^2) > (y^2) when x precedes y.
+    # the exponent vector over the monomial's variables in name order.
+    # Keying each exponent by its name puts x^2 before y^2, as x < y.
     degree = sum(exp for _, exp in monomial)
-    vector = tuple(
-        (_var_index(var), -exp) for var, exp in monomial
-    )
+    vector = tuple((var, -exp) for var, exp in monomial)
     return (-degree, vector)
 
 
@@ -420,7 +392,6 @@ def _parse_term(tok: _Tokenizer) -> Polynomial:
         exponents[var] = exponents.get(var, 0) + exp
     if coefficient is None:
         coefficient = Fraction(1)
-    register_variables(exponents)
     monomial = _sort_monomial(
         (var, exp) for var, exp in exponents.items() if exp > 0
     )
@@ -463,7 +434,6 @@ def random_polynomial(
     allow_zero: bool = True,
 ) -> Polynomial:
     """Draw a small random polynomial from ``rng`` (a ``random.Random``)."""
-    register_variables(variables)
     n_terms = rng.randint(0 if allow_zero else 1, max_terms)
     total = _ZERO
     for _ in range(n_terms):

@@ -22,9 +22,9 @@ the unitors are retractions, not isomorphisms.
 
 from __future__ import annotations
 
-from .errors import AssociativityMismatchError, NotEquivalentError
+from .errors import AssociativityMismatchError, NotEquivalentError, SizeGuardError
 from .factorizations import MatrixFactorization, MfMorphism
-from .matrices import PolyMatrix, hstack, vstack
+from .matrices import MAX_SIDE, PolyMatrix, hstack, vstack
 from .polynomials import ONE
 from .tensor_products import mult_tensor
 
@@ -39,8 +39,14 @@ def e_power(n: int) -> MatrixFactorization:
     """The n-th multiplicative tensor power of e: (I_{2^(n-1)}, I_{2^(n-1)})."""
     if n < 1:
         raise ValueError("e_power requires n >= 1")
-    size = 1 << (n - 1)
-    eye = PolyMatrix.identity(size)
+    # Checked on n itself (n > bit_length means 2^(n-1) > MAX_SIDE): for huge
+    # n the side is too large to build, let alone to format in a message.
+    if n > MAX_SIDE.bit_length():
+        raise SizeGuardError(
+            f"e_power({n}) has side 2^{n - 1}, beyond the size guard "
+            f"({MAX_SIDE} per side)"
+        )
+    eye = PolyMatrix.identity(1 << (n - 1))
     return MatrixFactorization(eye, eye, ONE)
 
 
@@ -70,8 +76,8 @@ def connecting_morphism(m: int, p: int) -> MfMorphism:
     identity permutation when m = p (any permutation works; the identity is
     the deterministic choice).
     """
-    src_size = 1 << (m - 1)
-    tgt_size = 1 << (p - 1)
+    source, target = e_power(m), e_power(p)
+    src_size, tgt_size = source.size, target.size
     if m > p:
         delta = hstack(
             PolyMatrix.identity(tgt_size),
@@ -84,7 +90,7 @@ def connecting_morphism(m: int, p: int) -> MfMorphism:
         )
     else:
         delta = PolyMatrix.identity(src_size)
-    return MfMorphism(e_power(m), e_power(p), delta, delta)
+    return MfMorphism(source, target, delta, delta)
 
 
 def gamma(a: MatrixFactorization) -> MfMorphism:

@@ -27,7 +27,6 @@ from mfcat.factorizations import (
     MfMorphism,
     factorization_from_text,
     factorization_to_text,
-    morphism_compose,
     random_mf1,
 )
 from mfcat.matrices import PolyMatrix, parse_matrix
@@ -142,10 +141,8 @@ def test_criterion_05_bifunctoriality():
         g = random_mf1_morphism(rng, a2, a3)
         fp = random_mf1_morphism(rng, b1, b2)
         gp = random_mf1_morphism(rng, b2, b3)
-        lhs = mult_tensor_morph_pair(morphism_compose(g, f), morphism_compose(gp, fp))
-        rhs = morphism_compose(
-            mult_tensor_morph_pair(g, gp), mult_tensor_morph_pair(f, fp)
-        )
+        lhs = mult_tensor_morph_pair(g.compose(f), gp.compose(fp))
+        rhs = mult_tensor_morph_pair(g, gp).compose(mult_tensor_morph_pair(f, fp))
         ok = ok and lhs == rhs
     _conclude("5-bifunctoriality", ok, "identity preservation + interchange, 200 samples")
 
@@ -184,7 +181,7 @@ def test_criterion_07_one_step_connectedness():
         delta_g = random_sub_permutation(rng, 1 << (q - 1), 1 << (p - 1))
         f = MfMorphism(e_power(m), e_power(p), delta_f, delta_f)
         g = MfMorphism(e_power(p), e_power(q), delta_g, delta_g)
-        if is_t_morphism(morphism_compose(g, f)):
+        if is_t_morphism(g.compose(f)):
             closure += 1
     _conclude(
         "7-one-step-connectedness",
@@ -201,8 +198,8 @@ def test_criterion_08_e_not_pseudo_idempotent():
     row = parse_matrix("[[1, 0]]")
     zeta1 = MfMorphism(e, e2, column, column)
     zeta2 = MfMorphism(e2, e, row, row)
-    section_ok = morphism_compose(zeta2, zeta1) == e.identity_morphism()
-    wrong = morphism_compose(zeta1, zeta2)
+    section_ok = zeta2.compose(zeta1) == e.identity_morphism()
+    wrong = zeta1.compose(zeta2)
     wrong_ok = wrong != e2.identity_morphism() and wrong.alpha == parse_matrix(
         "[[1, 0], [0, 0]]"
     )
@@ -265,7 +262,7 @@ def test_criterion_11_right_pseudo_monoidal():
     ok = all(reports[k].verdict == v for k, v in expected.items())
     # direct spot checks at e
     e = e_object()
-    ok = ok and morphism_compose(lambda_(e), gamma(e)) == e.identity_morphism()
+    ok = ok and lambda_(e).compose(gamma(e)) == e.identity_morphism()
     ok = ok and rho(e) == lambda_(e)
     ok = ok and check_triangle(e, random_mf1(99, 3, 4)).verdict == PASS
     ok = ok and check_triangle(random_mf1(98, 2, 4), e).verdict == XFAIL_OK

@@ -45,6 +45,12 @@ def test_diagram1_on_e_pairs():
     assert check_semiunit_diagram1(e_power(4), e_power(2)).verdict == PASS
 
 
+def test_diagram1_reports_differing_bracketings():
+    report = check_semiunit_diagram1(random_mf1(0, 2, 4), random_mf1(1000, 2, 4))
+    assert report.verdict == PASS
+    assert "matrix level" in report.detail
+
+
 def test_diagram2_small_witness():
     report = check_semiunit_diagram2(e_object(), e_object())
     assert report.verdict == PASS

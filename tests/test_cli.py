@@ -9,6 +9,7 @@ from mfcat.cli import main
 from mfcat.factorizations import factorization_from_text
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,13 @@ def test_epower(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_epower_beyond_size_guard(capsys):
+    # The side 2^14999 must be rejected before it is built or printed.
+    code, out, err = run_cli(capsys, "epower", "15000")
+    assert code == 2 and out == ""
+    assert "size guard" in err
+
+
 def test_shipped_samples_round_trip(capsys):
     from mfcat.factorizations import factorization_to_text
 
@@ -151,6 +159,15 @@ def test_suite_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_suite_output_matches_pinned_report(capsys):
+    expected = (DATA / "suite_all_maxpow2_samples3_seed0.txt").read_bytes()
+    code, out, _ = run_cli(
+        capsys, "suite", "all", "--maxpow", "2", "--samples", "3", "--seed", "0"
+    )
+    assert code == 1  # the mf1 counterexample reports FAIL (see README)
+    assert out.encode("utf-8") == expected
 
 
 def test_suite_maxpow_guard(capsys):

@@ -17,10 +17,7 @@ from mfcat.factorizations import (
     MfMorphism,
     factorization_from_text,
     factorization_to_text,
-    mf_equal,
-    morphism_compose,
     random_mf1,
-    syzygy,
 )
 from mfcat.matrices import PolyMatrix, parse_matrix
 from mfcat.polynomials import Polynomial, parse_polynomial
@@ -120,8 +117,8 @@ def test_compose_section_retraction():
     )
     zeta1 = MfMorphism(e, e2, parse_matrix("[[1], [0]]"), parse_matrix("[[1], [0]]"))
     zeta2 = MfMorphism(e2, e, parse_matrix("[[1, 0]]"), parse_matrix("[[1, 0]]"))
-    assert morphism_compose(zeta2, zeta1) == e.identity_morphism()
-    wrong_way = morphism_compose(zeta1, zeta2)
+    assert zeta2.compose(zeta1) == e.identity_morphism()
+    wrong_way = zeta1.compose(zeta2)
     assert wrong_way != e2.identity_morphism()
     assert wrong_way.alpha == parse_matrix("[[1, 0], [0, 0]]")
 
@@ -131,8 +128,8 @@ def test_compose_identity_is_neutral():
     src = random_mf1(1, 2, 4)
     tgt = random_mf1(2, 3, 4)
     f = random_mf1_morphism(rng, src, tgt)
-    assert morphism_compose(tgt.identity_morphism(), f) == f
-    assert morphism_compose(f, src.identity_morphism()) == f
+    assert tgt.identity_morphism().compose(f) == f
+    assert f.compose(src.identity_morphism()) == f
 
 
 def test_compose_rejects_mismatched_endpoints():
@@ -141,7 +138,7 @@ def test_compose_rejects_mismatched_endpoints():
     f = random_mf1_morphism(rng, a, b)
     g = random_mf1_morphism(rng, a, c)
     with pytest.raises(ComposabilityError):
-        morphism_compose(g, f)
+        g.compose(f)
 
 
 def test_composition_associative_and_unital_on_random_triples():
@@ -152,31 +149,29 @@ def test_composition_associative_and_unital_on_random_triples():
         f = random_mf1_morphism(rng, objs[0], objs[1])
         g = random_mf1_morphism(rng, objs[1], objs[2])
         h = random_mf1_morphism(rng, objs[2], objs[3])
-        assert morphism_compose(h, morphism_compose(g, f)) == morphism_compose(
-            morphism_compose(h, g), f
-        )
-        assert morphism_compose(f, objs[0].identity_morphism()) == f
+        assert h.compose(g.compose(f)) == h.compose(g).compose(f)
+        assert f.compose(objs[0].identity_morphism()) == f
 
 
 def test_syzygy_swaps_and_is_involution():
     x = intro_factorization()
-    s = syzygy(x)
+    s = x.syzygy()
     assert s.phi == x.psi and s.psi == x.phi
     assert s.potential == x.potential and s.size == x.size
-    assert syzygy(s) == x
+    assert s.syzygy() == x
     e = trivial_e()
-    assert syzygy(e) == e
+    assert e.syzygy() == e
 
 
 def test_mf_equality():
     x = intro_factorization()
-    assert mf_equal(x, x)
+    assert x == x
     e = trivial_e()
     e2 = MatrixFactorization(
         PolyMatrix.identity(2), PolyMatrix.identity(2), Polynomial.one()
     )
-    assert not mf_equal(e, e2)
-    assert not mf_equal(x, syzygy(x))  # phi != psi here
+    assert e != e2
+    assert x != x.syzygy()  # phi != psi here
 
 
 def test_random_mf1_empty_product_is_identity():
@@ -190,7 +185,7 @@ def test_random_mf1_is_validated_and_deterministic():
         x = random_mf1(seed, 2, 5)
         assert x.phi @ x.psi == PolyMatrix.identity(2)
         assert x == random_mf1(seed, 2, 5)
-        assert syzygy(syzygy(x)) == x  # the swap is an involution
+        assert x.syzygy().syzygy() == x  # the swap is an involution
     assert random_mf1(0, 1, 5).size == 1  # size 1 only uses sign flips
 
 

@@ -46,6 +46,13 @@ def test_canonical_grlex_order():
     assert canonical_string(p) == "x^2 + x*y + y^2 + x + 1"
 
 
+def test_canonical_order_ignores_parse_history():
+    # qb is met first, yet the canonical form orders variables by name.
+    parse_polynomial("qb")
+    p = parse_polynomial("qb*qa + qa^2 + qb^2")
+    assert canonical_string(p) == "qa^2 + qa*qb + qb^2"
+
+
 def test_canonical_negative_leading_term():
     p = parse_polynomial("-x^2 - 5/3")
     assert canonical_string(p) == "-x^2 - 5/3"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mfcat.errors import AssociativityMismatchError, NotEquivalentError
-from mfcat.factorizations import MatrixFactorization, MfMorphism, morphism_compose
+from mfcat.factorizations import MatrixFactorization, MfMorphism
 from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
 from mfcat.polynomials import Polynomial
 from mfcat.t_subcategory import (
@@ -99,7 +99,7 @@ def test_t_composition_closure():
             e_power(q),
             *(random_sub_permutation(rng, 1 << (q - 1), 1 << (p - 1)),) * 2,
         )
-        assert is_t_morphism(morphism_compose(g, f))
+        assert is_t_morphism(g.compose(f))
 
 
 def test_gamma_at_e_is_the_column_section():
@@ -123,8 +123,8 @@ def test_lambda_at_e_is_the_row_retraction():
 
 def test_lambda_gamma_is_identity_but_not_reversed():
     for obj in (e_object(), e_power(3), UNIMODULAR_PAIR):
-        assert morphism_compose(lambda_(obj), gamma(obj)) == obj.identity_morphism()
-        reverse = morphism_compose(gamma(obj), lambda_(obj))
+        assert lambda_(obj).compose(gamma(obj)) == obj.identity_morphism()
+        reverse = gamma(obj).compose(lambda_(obj))
         n = obj.size
         assert reverse.alpha == direct_sum(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
         assert reverse != mult_tensor(e_object(), obj).identity_morphism()
@@ -140,7 +140,7 @@ def test_rho_equals_lambda_value_wise():
 def test_l_iso_is_identity_pair_and_self_inverse():
     morphism = l_iso(e_object())
     assert morphism.alpha == PolyMatrix.identity(2)
-    composed = morphism_compose(morphism, morphism)
+    composed = morphism.compose(morphism)
     assert composed == morphism.source.identity_morphism()
     l_gen = l_iso(UNIMODULAR_PAIR)
     assert l_gen.source == l_gen.target
@@ -172,13 +172,11 @@ def test_associator_naturality_for_identity_left_leg():
     for _ in range(50):
         g, h = (random_t_morphism(rng, 3) for _ in range(2))
         f = rng.choice([e_object(), e_power(2), e_power(3)]).identity_morphism()
-        lhs = morphism_compose(
-            mult_tensor_morph_pair(f, mult_tensor_morph_pair(g, h)),
-            associator(f.source, g.source, h.source),
+        lhs = mult_tensor_morph_pair(f, mult_tensor_morph_pair(g, h)).compose(
+            associator(f.source, g.source, h.source)
         )
-        rhs = morphism_compose(
-            associator(f.target, g.target, h.target),
-            mult_tensor_morph_pair(mult_tensor_morph_pair(f, g), h),
+        rhs = associator(f.target, g.target, h.target).compose(
+            mult_tensor_morph_pair(mult_tensor_morph_pair(f, g), h)
         )
         assert lhs == rhs
 
@@ -201,8 +199,8 @@ def test_gamma_naturality_on_t_morphisms():
     rng = random.Random(19)
     for _ in range(100):
         mu = random_t_morphism(rng, 4)
-        lhs = morphism_compose(mult_tensor_morph_right(e_object(), mu), gamma(mu.source))
-        rhs = morphism_compose(gamma(mu.target), mu)
+        lhs = mult_tensor_morph_right(e_object(), mu).compose(gamma(mu.source))
+        rhs = gamma(mu.target).compose(mu)
         assert lhs == rhs
 
 

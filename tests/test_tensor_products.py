@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mfcat.errors import SizeGuardError
-from mfcat.factorizations import MatrixFactorization, morphism_compose, random_mf1
+from mfcat.factorizations import MatrixFactorization, random_mf1
 from mfcat.matrices import direct_sum, parse_matrix
 from mfcat.polynomials import Polynomial, parse_polynomial
 from mfcat.reporting import PASS
@@ -172,10 +172,8 @@ def test_interchange_law():
         g = random_mf1_morphism(rng, a2, a3)
         fp = random_mf1_morphism(rng, b1, b2)
         gp = random_mf1_morphism(rng, b2, b3)
-        lhs = mult_tensor_morph_pair(morphism_compose(g, f), morphism_compose(gp, fp))
-        rhs = morphism_compose(
-            mult_tensor_morph_pair(g, gp), mult_tensor_morph_pair(f, fp)
-        )
+        lhs = mult_tensor_morph_pair(g.compose(f), gp.compose(fp))
+        rhs = mult_tensor_morph_pair(g, gp).compose(mult_tensor_morph_pair(f, fp))
         assert lhs == rhs
 
 
