@@ -10,7 +10,8 @@ Values are immutable; all operations are pure and thread-safe.
 
 A size guard rejects results beyond ``MAX_SIDE`` per dimension: tensor
 constructions double sizes, and the guard turns runaway growth into a clear
-error instead of memory exhaustion.
+error instead of memory exhaustion.  Printing is guarded the same way: a
+dense matrix literal of more than ``MAX_PRINT_ENTRIES`` entries is refused.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .polynomials import ONE, ZERO, Polynomial, parse_polynomial
 # Tensor powers of the trivial factorization reach side 2**19 in the largest
 # check-suite configuration; one extra power of two of headroom.
 MAX_SIDE = 1 << 20
+
+# Matrix literals are dense: every zero is printed.  Beyond this many entries
+# (side 2048 when square) a literal is refused before anything is built; a
+# side-MAX_SIDE literal would need 2^40 entries.
+MAX_PRINT_ENTRIES = 1 << 22
 
 EntryLike = Polynomial | int | Fraction | str
 
@@ -327,6 +333,11 @@ def block2x2(
 
 
 def matrix_literal(a: PolyMatrix) -> str:
+    if a.rows * a.cols > MAX_PRINT_ENTRIES:
+        raise SizeGuardError(
+            f"a {a.rows}x{a.cols} matrix literal exceeds the size guard for "
+            f"printing ({MAX_PRINT_ENTRIES} entries)"
+        )
     rows = a.to_rows()
     return "[" + ", ".join(
         "[" + ", ".join(str(p) for p in row) + "]" for row in rows

@@ -1,9 +1,11 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite mapping from monomials to nonzero ``Fraction``
-coefficients.  A monomial is a tuple of ``(variable, exponent)`` pairs with
-strictly positive integer exponents; the empty tuple is the constant monomial.
-The zero polynomial has an empty term mapping.
+A polynomial is a finite mapping from monomials to nonzero exact rational
+coefficients, stored as ``int`` while integral and as ``Fraction`` only when
+the denominator is not 1 (the public :attr:`Polynomial.terms` always reports
+``Fraction`` values).  A monomial is a tuple of ``(variable, exponent)`` pairs
+with strictly positive integer exponents; the empty tuple is the constant
+monomial.  The zero polynomial has an empty term mapping.
 
 All arithmetic is exact, so equality of polynomials is decidable and reliable;
 this is what makes every "diagram commutes" check in the rest of the library a
@@ -47,9 +49,19 @@ Monomial = tuple[tuple[str, int], ...]
 # typos and can make later arithmetic needlessly expensive.
 MAX_EXPONENT = 10**6
 
+Coefficient = int | Fraction
+
+
 def _sort_monomial(pairs: Iterable[tuple[str, int]]) -> Monomial:
     # A monomial names each variable once, so sorting the pairs sorts by name.
     return tuple(sorted(pairs))
+
+
+def _num(c: Coefficient) -> Coefficient:
+    """``c`` in stored form: an integral ``Fraction`` becomes its ``int``."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 class Polynomial:
@@ -57,8 +69,9 @@ class Polynomial:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction]):
-        normalized: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Coefficient]):
+        # The public, normalising constructor; arithmetic uses _make instead.
+        normalized: dict[Monomial, Coefficient] = {}
         for monomial, coefficient in terms.items():
             coefficient = Fraction(coefficient)
             if coefficient == 0:
@@ -66,18 +79,23 @@ class Polynomial:
             monomial = _sort_monomial(
                 (var, exp) for var, exp in monomial if exp != 0
             )
-            normalized[monomial] = normalized.get(monomial, Fraction(0)) + coefficient
-            if normalized[monomial] == 0:
+            total = normalized.get(monomial, 0) + coefficient
+            if total:
+                normalized[monomial] = _num(total)
+            else:
                 del normalized[monomial]
-        object.__setattr__(self, "_terms", normalized)
-        object.__setattr__(self, "_hash", None)
+        self._terms = normalized
+        self._hash = None
         self._audit()
 
     def _audit(self) -> None:
-        # Internal invariant hook: no zero coefficients, positive exponents,
-        # monomials sorted by variable name.
+        # Internal invariant hook: no zero coefficients, integral values
+        # stored as int, positive exponents, monomials sorted by variable name.
         for monomial, coefficient in self._terms.items():
             assert coefficient != 0, "stored zero coefficient"
+            assert type(coefficient) is int or (
+                type(coefficient) is Fraction and coefficient.denominator != 1
+            ), "integral coefficient not stored as int"
             assert all(exp > 0 for _, exp in monomial), "non-positive exponent"
             names = [var for var, _ in monomial]
             assert names == sorted(names), "monomial not in name order"
@@ -102,19 +120,19 @@ class Polynomial:
             raise ValueError("exponent must be non-negative")
         if exponent == 0:
             return _ONE
-        return Polynomial({((name, exponent),): Fraction(1)})
+        return Polynomial({((name, exponent),): 1})
 
     # -- queries -------------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return dict(self._terms)
+        return {m: Fraction(c) for m, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(): Fraction(1)}
+        return self._terms == _ONE_TERMS
 
     def is_constant(self) -> bool:
         return all(monomial == () for monomial in self._terms)
@@ -123,7 +141,7 @@ class Polynomial:
         """The value of a constant polynomial (raises otherwise)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0))
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -146,19 +164,23 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        if not rhs._terms:
+            return self
+        if not self._terms:
+            return rhs
         out = dict(self._terms)
         for monomial, coefficient in rhs._terms.items():
-            total = out.get(monomial, Fraction(0)) + coefficient
-            if total == 0:
-                out.pop(monomial, None)
+            total = out.get(monomial, 0) + coefficient
+            if total:
+                out[monomial] = _num(total)
             else:
-                out[monomial] = total
-        return Polynomial(out)
+                del out[monomial]
+        return _make(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return _make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "Polynomial":
         rhs = self._coerce(other)
@@ -176,27 +198,38 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not self._terms or not rhs._terms:
+        lhs_terms, rhs_terms = self._terms, rhs._terms
+        if not lhs_terms or not rhs_terms:
             return _ZERO
-        out: dict[Monomial, Fraction] = {}
-        for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in rhs._terms.items():
+        if rhs_terms == _ONE_TERMS:
+            return self
+        if lhs_terms == _ONE_TERMS:
+            return rhs
+        out: dict[Monomial, Coefficient] = {}
+        for mono_a, coeff_a in lhs_terms.items():
+            for mono_b, coeff_b in rhs_terms.items():
                 mono = _mul_monomials(mono_a, mono_b)
-                total = out.get(mono, Fraction(0)) + coeff_a * coeff_b
-                if total == 0:
-                    out.pop(mono, None)
+                total = out.get(mono, 0) + coeff_a * coeff_b
+                if total:
+                    out[mono] = _num(total)
                 else:
-                    out[mono] = total
-        return Polynomial(out)
+                    del out[mono]
+        return _make(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = _ONE
-        for _ in range(exponent):
-            result = result * self
+        # Repeated squaring: one product per bit of the exponent, plus one
+        # per set bit.
+        result, square = _ONE, self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     # -- equality and printing -----------------------------------------------
@@ -211,10 +244,9 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # Equal int and Fraction values hash alike, so this hashes by value.
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self._terms.items()))
-            )
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __str__(self) -> str:
@@ -235,12 +267,18 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     return _sort_monomial(exponents.items())
 
 
-_ZERO = object.__new__(Polynomial)
-object.__setattr__(_ZERO, "_terms", {})
-object.__setattr__(_ZERO, "_hash", None)
-_ONE = object.__new__(Polynomial)
-object.__setattr__(_ONE, "_terms", {(): Fraction(1)})
-object.__setattr__(_ONE, "_hash", None)
+def _make(terms: dict[Monomial, Coefficient]) -> Polynomial:
+    """Wrap ``terms``, already meeting every ``_audit`` invariant, uncopied."""
+    p = object.__new__(Polynomial)
+    p._terms = terms
+    p._hash = None
+    p._audit()
+    return p
+
+
+_ZERO = _make({})
+_ONE = _make({(): 1})
+_ONE_TERMS = _ONE._terms
 
 ZERO = _ZERO
 ONE = _ONE

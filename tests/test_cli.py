@@ -101,10 +101,38 @@ def test_epower_beyond_size_guard(capsys):
     assert "size guard" in err
 
 
+def test_epower_output_beyond_print_budget(capsys):
+    # Side 2^20 passes the side guard, but its dense literal (2^40 entries)
+    # must be refused before any row is built.
+    code, out, err = run_cli(capsys, "epower", "21")
+    assert code == 2 and out == ""
+    assert "size guard" in err
+
+
+def test_printed_factorizations_match_pinned_output(capsys):
+    # syzygy and both tensor modes on every ordered pair of samples, byte for
+    # byte, so the stored coefficient form cannot leak into printing.
+    names = sorted(path.name for path in SAMPLES.glob("*.mf"))
+    commands = [["syzygy", name] for name in names] + [
+        ["tensor", "--mode", mode, first, second]
+        for first in names
+        for second in names
+        for mode in ("mult", "yoshino")
+    ]
+    chunks = []
+    for argv in commands:
+        real = [str(SAMPLES / arg) if arg.endswith(".mf") else arg for arg in argv]
+        code, out, _ = run_cli(capsys, *real)
+        assert code == 0
+        chunks.append(f"$ mfcat {' '.join(argv)}\n{out}")
+    expected = (DATA / "cli_factorizations_samples.txt").read_bytes()
+    assert "".join(chunks).encode("utf-8") == expected
+
+
 def test_shipped_samples_round_trip(capsys):
     from mfcat.factorizations import factorization_to_text
 
-    for name in ("intro.mf", "e.mf", "unimodular.mf"):
+    for name in ("intro.mf", "e.mf", "unimodular.mf", "scaled.mf"):
         x = factorization_from_text((SAMPLES / name).read_text())
         assert factorization_from_text(factorization_to_text(x)) == x
         code, _, _ = run_cli(capsys, "validate", str(SAMPLES / name))

@@ -10,6 +10,7 @@ from mfcat.errors import (
     PolynomialSyntaxError,
 )
 from mfcat.polynomials import (
+    ONE,
     Polynomial,
     canonical_string,
     parse_polynomial,
@@ -179,3 +180,93 @@ def test_total_degree_and_variables():
     p = parse_polynomial("x^2*y + z - 4")
     assert p.total_degree() == 3
     assert p.variables() == {"x", "y", "z"}
+
+
+def test_pow_equals_repeated_product():
+    rng = random.Random(4711)
+    for _ in range(20):
+        scale = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+        p = random_polynomial(rng, max_degree=2, max_terms=3) * scale
+        product = Polynomial.one()
+        for n in range(10):
+            assert p ** n == product
+            product = product * p
+    with pytest.raises(ValueError):
+        Polynomial.variable("x") ** -1
+
+
+# -- integral coefficients are stored as int, rationals as Fraction ----------
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_monomials = st.dictionaries(
+    st.sampled_from("xyz"), st.integers(1, 3), max_size=3
+).map(lambda exps: tuple(sorted(exps.items())))
+_raw_terms = st.dictionaries(_monomials, _rationals, max_size=4).map(
+    lambda terms: {m: c for m, c in terms.items() if c}
+)
+
+
+def _oracle_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for monomial, coefficient in b.items():
+        out[monomial] = out.get(monomial, Fraction(0)) + coefficient
+    return {m: c for m, c in out.items() if c}
+
+
+def _oracle_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for mono_a, coeff_a in a.items():
+        for mono_b, coeff_b in b.items():
+            exps = dict(mono_a)
+            for var, exp in mono_b:
+                exps[var] = exps.get(var, 0) + exp
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, Fraction(0)) + coeff_a * coeff_b
+    return {m: c for m, c in out.items() if c}
+
+
+def _check_stored_form(p: Polynomial) -> None:
+    p._audit()
+    assert all(type(c) is Fraction for c in p.terms.values())
+    reparsed = parse_polynomial(canonical_string(p))
+    assert reparsed == p and hash(reparsed) == hash(p)
+
+
+@given(_raw_terms, _raw_terms)
+def test_mixed_coefficients_match_fraction_oracle(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    assert p.terms == a
+    negated = {m: -c for m, c in b.items()}
+    cases = [
+        (p + q, _oracle_add(a, b)),
+        (p - q, _oracle_add(a, negated)),
+        (p * q, _oracle_mul(a, b)),
+    ]
+    power = {(): Fraction(1)}
+    for n in range(4):
+        cases.append((p ** n, power))
+        power = _oracle_mul(power, a)
+    for result, expected in cases:
+        _check_stored_form(result)
+        assert result.terms == expected
+    assert p * q == naive_mul(p, q)
+
+
+def test_integral_product_of_rationals_is_one():
+    product = Polynomial.constant(Fraction(2)) * Polynomial.constant(Fraction(1, 2))
+    _check_stored_form(product)
+    assert product.is_one()
+    assert product == ONE and hash(product) == hash(ONE)
+    assert product.constant_value() == 1
+    assert type(product.constant_value()) is Fraction
+
+
+def test_parsed_and_computed_values_agree():
+    parsed = parse_polynomial("3/2*x^2 - 4*x*y + 2")
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    built = Fraction(3, 2) * x * x - Polynomial.constant(4) * x * y + 2
+    halves = (Fraction(3, 4) * x ** 2 - 2 * x * y + 1) * 2
+    for value in (built, halves):
+        _check_stored_form(value)
+        assert value == parsed and hash(value) == hash(parsed)
+        assert canonical_string(value) == "3/2*x^2 - 4*x*y + 2"
