@@ -260,12 +260,25 @@ def factorization_from_text(text: str) -> MatrixFactorization:
         if key in fields:
             raise MfFileError(f"duplicate key {key!r}", lineno)
         try:
-            if key == "potential":
-                fields[key] = parse_polynomial(value.strip())
-            else:
-                fields[key] = parse_matrix(value.strip())
+            parse = parse_polynomial if key == "potential" else parse_matrix
+            value = parse(value.strip())
         except Exception as exc:
             raise MfFileError(str(exc), lineno) from exc
+        if key != "potential":
+            # Shape errors are reported at the line that causes them; the
+            # products are checked by MatrixFactorization below.
+            other = fields.get("psi" if key == "phi" else "phi")
+            if value.rows != value.cols:
+                raise MfFileError(
+                    f"{key} is {value.rows}x{value.cols}, not square", lineno
+                )
+            if other is not None and other.rows != value.rows:
+                raise MfFileError(
+                    f"{key} is {value.rows}x{value.cols} but the other factor "
+                    f"is {other.rows}x{other.cols}",
+                    lineno,
+                )
+        fields[key] = value
     for key in ("potential", "phi", "psi"):
         if key not in fields:
             raise MfFileError(f"missing key {key!r}", max(last_line, 1))

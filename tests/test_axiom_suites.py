@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from mfcat.axiom_suites import (
@@ -12,12 +13,24 @@ from mfcat.axiom_suites import (
     counterexample_mf1_not_semiunital,
     suite_all,
 )
-from mfcat.factorizations import MatrixFactorization, random_mf1
+from mfcat.errors import NotEquivalentError
+from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
 from mfcat.matrices import PolyMatrix, parse_matrix
 from mfcat.polynomials import Polynomial
 from mfcat.reporting import FAIL, PASS, XFAIL_OK, aggregate_ok
-from mfcat.t_subcategory import e_object, e_power, find_permutation_witness, gamma
-from mfcat.tensor_products import mult_tensor, mult_tensor_morph_left
+from mfcat.t_subcategory import (
+    associator,
+    e_object,
+    e_power,
+    find_permutation_witness,
+    gamma,
+    rho,
+)
+from mfcat.tensor_products import (
+    mult_tensor,
+    mult_tensor_morph_left,
+    mult_tensor_morph_right,
+)
 
 
 def test_pentagon_on_trivial_quadruple():
@@ -35,6 +48,86 @@ def test_pentagon_on_random_mf1_quadruple():
     report = check_pentagon(*objs)
     assert report.verdict == PASS
     assert "matrix level" in report.detail  # bracketings differ here
+
+
+def _pentagon_paths(a, b, c, d):
+    """Both pentagon paths composed from validated associator morphisms."""
+    ab, bc, cd = mult_tensor(a, b), mult_tensor(b, c), mult_tensor(c, d)
+    left = associator(a, b, cd).compose(associator(ab, c, d))
+    right = mult_tensor_morph_right(a, associator(b, c, d)).compose(
+        associator(a, bc, d).compose(
+            mult_tensor_morph_left(associator(a, b, c), d)
+        )
+    )
+    return left, right
+
+
+def test_pentagon_verdict_matches_composed_paths():
+    # check_pentagon no longer composes the paths; on every quadruple whose
+    # associators exist, the composed paths agree and the check reports PASS
+    # with equal vertices (no matrix-level suffix).
+    powers = [e_power(k) for k in (1, 2, 3)]
+    minus_one = MatrixFactorization(
+        PolyMatrix.from_rows([[-1]]), PolyMatrix.from_rows([[-1]]), Polynomial.one()
+    )
+    quadruples = list(itertools.product(powers, repeat=4))
+    for seed, size in ((11, 2), (12, 3)):
+        last = random_mf1(seed, size, 4)
+        for first in itertools.product((e_object(), minus_one), repeat=3):
+            quadruples.append((*first, last))
+    for quadruple in quadruples:
+        left, right = _pentagon_paths(*quadruple)
+        assert left == right
+        report = check_pentagon(*quadruple)
+        assert report.verdict == PASS
+        assert "matrix level" not in report.detail
+
+
+def _identity_edge(source, target):
+    eye = PolyMatrix.identity(source.size)
+    return MfMorphism(source, target, eye, eye)
+
+
+def _ax_verdicts_through_identity_edges(i, j):
+    """Ax.2-Ax.4 verdicts with every associator edge composed explicitly."""
+    a, b = e_power(i), e_power(j)
+    e = e_object()
+    ab = mult_tensor(a, b)
+    alpha_rev = _identity_edge(mult_tensor(e, ab), mult_tensor(mult_tensor(e, a), b))
+    lhs2 = alpha_rev.compose(gamma(ab))
+    rhs2 = mult_tensor_morph_left(gamma(a), b)
+    if lhs2 == rhs2:
+        ax2 = FAIL
+    else:
+        try:
+            find_permutation_witness(lhs2.alpha, rhs2.alpha)
+            ax2 = XFAIL_OK
+        except NotEquivalentError:
+            ax2 = FAIL
+
+    alpha3 = _identity_edge(mult_tensor(a, mult_tensor(b, e)), mult_tensor(ab, e))
+    lhs3 = rho(ab).compose(alpha3)
+    ax3 = PASS if lhs3 == mult_tensor_morph_right(a, rho(b)) else XFAIL_OK
+
+    alpha4 = _identity_edge(
+        mult_tensor(a, mult_tensor(e, b)), mult_tensor(mult_tensor(a, e), b)
+    )
+    composite = mult_tensor_morph_left(rho(a), b).compose(
+        alpha4.compose(mult_tensor_morph_right(a, gamma(b)))
+    )
+    ax4 = PASS if composite == ab.identity_morphism() else XFAIL_OK
+    return {"rm-ax2": (ax2, lhs2.alpha), "rm-ax3": ax3, "rm-ax4": ax4}
+
+
+def test_ax2_to_ax4_match_explicit_identity_edges():
+    reports = {r.check_id: r for r in check_right_monoidal_axioms(3)}
+    for i in range(1, 4):
+        for j in range(1, 4):
+            oracle = _ax_verdicts_through_identity_edges(i, j)
+            ax2 = reports[f"rm-ax2[e^{i},e^{j}]"]
+            assert (ax2.verdict, dict(ax2.witnesses)["lhs_alpha"]) == oracle["rm-ax2"]
+            for name in ("rm-ax3", "rm-ax4"):
+                assert reports[f"{name}[e^{i},e^{j}]"].verdict == oracle[name]
 
 
 def test_diagram1_on_e_pairs():

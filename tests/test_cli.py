@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfcat.cli import main
 from mfcat.factorizations import factorization_from_text
@@ -46,6 +51,91 @@ def test_validate_rejects_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.mf")
     assert code == 2
     assert "error:" in err
+
+
+def test_validate_rejects_invalid_utf8_at_its_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.mf"
+    bad.write_bytes(b"potential = 1\nphi = [[1]]\npsi = [[1]] # caf\xff\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: invalid UTF-8 byte 0xff\n"
+
+
+def test_validate_locates_shape_errors(tmp_path, capsys):
+    cases = [
+        (
+            "potential = 1\nphi = [[1, 2]]\npsi = [[1]]\n",
+            "line 2: phi is 1x2, not square",
+        ),
+        (
+            "psi = [[1, 0], [0, 1]]\n\nphi = [[1]]\npotential = 1\n",
+            "line 3: phi is 1x1 but the other factor is 2x2",
+        ),
+    ]
+    for text, message in cases:
+        path = tmp_path / "shape.mf"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert (code, err) == (2, f"error: {message}\n")
+
+
+# Inputs biased towards the .mf grammar, next to arbitrary bytes: key lines
+# built from valid and broken values reach the parser's error paths, and
+# complete files with mismatched factors reach validation (and exit 0).
+_MF_MATRICES = [
+    "[[1]]", "[[-1]]", "[[x]]", "[[1, 0], [0, 1]]", "[[x, y], [-y, x]]",
+    "[[x, -y], [y, x]]",
+]
+_MF_VALUES = st.sampled_from(
+    [
+        "1", "x", "x^2 + y^2", "-1/2*x", "x^99999999", "1/0", "x^", "(x", "",
+        "[[1]]", "[[x]]", "[[-1]]", "[[1, 0], [0, 1]]", "[[x, y], [-y, x]]",
+        "[[x, -y], [y, x]]", "[[1, 2]]", "[[1], [2]]", "[[1,]]", "[[ ]]", "[[",
+        "[[1]] ]]", "[[1/0]]", "[[x^99999999]]", "# note", "\xff", "\u00e9",
+    ]
+)
+_MF_LINE = st.builds(
+    lambda key, sep, value: f"{key}{sep}{value}",
+    st.sampled_from(["potential", "phi", "psi", " phi ", "other", ""]),
+    st.sampled_from([" = ", "=", " "]),
+    _MF_VALUES,
+)
+_MF_FILE = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_MF_LINE, max_size=5).map(
+        lambda lines: "\n".join(lines).encode("utf-8")[:200]
+    ),
+    st.tuples(
+        st.sampled_from(["1", "-1", "x", "x^2 + y^2"]),
+        st.sampled_from(_MF_MATRICES),
+        st.sampled_from(_MF_MATRICES),
+    )
+    .flatmap(
+        lambda t: st.permutations(
+            [f"potential = {t[0]}", f"phi = {t[1]}", f"psi = {t[2]}"]
+        )
+    )
+    .map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
+# A located error names a line of the file, a character position within a
+# value, or the first mismatching entry of a factor product.
+_LOCATED = re.compile(r"^error: .*(line \d+|position \d+|entry \(\d+, \d+\))")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_MF_FILE)
+def test_validate_fuzzed_files_exit_cleanly(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "fuzz.mf"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+    assert code in (0, 1, 2)
+    if code:
+        assert _LOCATED.match(err.getvalue()), err.getvalue()
+    else:
+        assert out.getvalue().startswith("PASS validate")
 
 
 def test_tensor_mult_of_e_with_itself(capsys):
@@ -195,6 +285,19 @@ def test_suite_output_matches_pinned_report(capsys):
         capsys, "suite", "all", "--maxpow", "2", "--samples", "3", "--seed", "0"
     )
     assert code == 1  # the mf1 counterexample reports FAIL (see README)
+    assert out.encode("utf-8") == expected
+
+
+def test_structured_suite_output_matches_pinned_report(capsys):
+    # Only the structured form renders the witnesses (the rearrangement's P,
+    # the triangle's lhs_alpha/rhs_alpha), so this pins them byte for byte.
+    fixture = DATA / "suite_all_maxpow2_samples3_seed0_structured.json"
+    expected = fixture.read_bytes()
+    code, out, _ = run_cli(
+        capsys, "suite", "all", "--maxpow", "2", "--samples", "3", "--seed", "0",
+        "--format", "structured",
+    )
+    assert code == 1
     assert out.encode("utf-8") == expected
 
 
