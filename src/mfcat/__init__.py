@@ -45,7 +45,6 @@ from .factorizations import (
 )
 from .tensor_products import (
     check_syzygy_identity,
-    check_syzygy_inequalities,
     mult_tensor,
     mult_tensor_morph_left,
     mult_tensor_morph_pair,

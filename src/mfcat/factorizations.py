@@ -70,10 +70,10 @@ class MatrixFactorization:
         mismatch = _first_mismatch(psi @ phi, expected)
         if mismatch is not None:
             raise ProductMismatchError("psi*phi", mismatch)
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "size", n)
+        self.potential = potential
+        self.phi = phi
+        self.psi = psi
+        self.size = n
 
     def syzygy(self) -> "MatrixFactorization":
         """Swap the two factors; an involution preserving potential and size."""
@@ -128,10 +128,10 @@ class MfMorphism:
             raise SquareFailureError("phi-square")
         if target.psi @ alpha != beta @ source.psi:
             raise SquareFailureError("psi-square")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self.source = source
+        self.target = target
+        self.alpha = alpha
+        self.beta = beta
 
     def compose(self, inner: "MfMorphism") -> "MfMorphism":
         """self o inner (apply ``inner`` first)."""
@@ -143,6 +143,10 @@ class MfMorphism:
             self.alpha @ inner.alpha,
             self.beta @ inner.beta,
         )
+
+    def is_identity(self) -> bool:
+        """Both components are identity matrices."""
+        return self.alpha.is_identity() and self.beta.is_identity()
 
     def is_nonzero(self) -> bool:
         return not (self.alpha.is_zero_matrix() and self.beta.is_zero_matrix())

@@ -64,14 +64,14 @@ class PolyMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], Polynomial] | None):
         _guard(rows, cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        self.rows = rows
+        self.cols = cols
         if entries is None:
             # identity backend
             if rows != cols:
                 raise DimensionMismatchError("identity matrix must be square")
-            object.__setattr__(self, "_entries", None)
-            object.__setattr__(self, "_idcache", True)
+            self._entries = None
+            self._idcache = True
             return
         cleaned: dict[tuple[int, int], Polynomial] = {}
         for (i, j), value in entries.items():
@@ -79,8 +79,8 @@ class PolyMatrix:
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
             if not value.is_zero():
                 cleaned[(i, j)] = value
-        object.__setattr__(self, "_entries", cleaned)
-        object.__setattr__(self, "_idcache", None)
+        self._entries = cleaned
+        self._idcache = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -147,7 +147,7 @@ class PolyMatrix:
                 and len(self._entries) == self.rows
                 and all(i == j and p.is_one() for (i, j), p in self._entries.items())
             )
-            object.__setattr__(self, "_idcache", result)
+            self._idcache = result
         return self._idcache
 
     def is_zero_matrix(self) -> bool:

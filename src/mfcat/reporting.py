@@ -14,7 +14,8 @@ The one-line rendering is ``PASS|FAIL|XFAIL-OK <check_id> <detail>``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+
+from .matrices import PolyMatrix, matrix_literal
 
 PASS = "pass"
 FAIL = "fail"
@@ -31,7 +32,7 @@ class CheckReport:
     check_id: str
     verdict: str
     detail: str
-    witnesses: tuple[tuple[str, Any], ...] = field(default=())
+    witnesses: tuple[tuple[str, PolyMatrix], ...] = field(default=())
 
     @property
     def ok(self) -> bool:
@@ -50,23 +51,11 @@ class CheckReport:
         }
 
 
-def _render(value: Any):
-    from .factorizations import MatrixFactorization, MfMorphism
-    from .matrices import PolyMatrix, matrix_literal
-
-    if isinstance(value, PolyMatrix):
-        if value.rows * value.cols > _RENDER_LIMIT:
-            return f"<matrix {value.rows}x{value.cols}, {value.nnz()} nonzero>"
-        return matrix_literal(value)
-    if isinstance(value, MfMorphism):
-        return {"alpha": _render(value.alpha), "beta": _render(value.beta)}
-    if isinstance(value, MatrixFactorization):
-        return {
-            "potential": str(value.potential),
-            "phi": _render(value.phi),
-            "psi": _render(value.psi),
-        }
-    return str(value)
+def _render(value: PolyMatrix) -> str:
+    """A witness matrix as a literal, or a summary above ``_RENDER_LIMIT``."""
+    if value.rows * value.cols > _RENDER_LIMIT:
+        return f"<matrix {value.rows}x{value.cols}, {value.nnz()} nonzero>"
+    return matrix_literal(value)
 
 
 def aggregate_ok(reports) -> bool:

@@ -17,14 +17,16 @@ e-powers, since the ambient category uses them too):
 * ``l_iso(a)``:  e (x) a -> a (x) e, the identity pair, its own inverse.
 
 ``lambda_(a) o gamma(a)`` is the identity, the reverse composite is not:
-the unitors are retractions, not isomorphisms.
+the unitors are retractions, not isomorphisms.  These three maps and the
+connecting morphisms all have partial identities as components (ones on the
+leading diagonal, zeros elsewhere), built by one helper.
 """
 
 from __future__ import annotations
 
 from .errors import AssociativityMismatchError, NotEquivalentError, SizeGuardError
 from .factorizations import MatrixFactorization, MfMorphism
-from .matrices import MAX_SIDE, PolyMatrix, hstack, vstack
+from .matrices import MAX_SIDE, PolyMatrix
 from .polynomials import ONE
 from .tensor_products import mult_tensor
 
@@ -69,6 +71,13 @@ def is_t_morphism(m: MfMorphism) -> bool:
     )
 
 
+def _partial_identity(rows: int, cols: int) -> PolyMatrix:
+    """Ones on the leading diagonal: (I, 0) if wide, (I, 0)^t if tall, else I."""
+    if rows == cols:
+        return PolyMatrix.identity(rows)
+    return PolyMatrix(rows, cols, {(k, k): ONE for k in range(min(rows, cols))})
+
+
 def connecting_morphism(m: int, p: int) -> MfMorphism:
     """The canonical nonzero T-morphism from the m-th to the p-th power of e.
 
@@ -77,40 +86,25 @@ def connecting_morphism(m: int, p: int) -> MfMorphism:
     the deterministic choice).
     """
     source, target = e_power(m), e_power(p)
-    src_size, tgt_size = source.size, target.size
-    if m > p:
-        delta = hstack(
-            PolyMatrix.identity(tgt_size),
-            PolyMatrix.zeros(tgt_size, src_size - tgt_size),
-        )
-    elif m < p:
-        delta = vstack(
-            PolyMatrix.identity(src_size),
-            PolyMatrix.zeros(tgt_size - src_size, src_size),
-        )
-    else:
-        delta = PolyMatrix.identity(src_size)
+    delta = _partial_identity(target.size, source.size)
     return MfMorphism(source, target, delta, delta)
 
 
 def gamma(a: MatrixFactorization) -> MfMorphism:
     """The canonical map a -> e (x) a, both components (I, 0)^t."""
-    n = a.size
-    delta = vstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+    delta = _partial_identity(2 * a.size, a.size)
     return MfMorphism(a, mult_tensor(e_object(), a), delta, delta)
 
 
 def lambda_(a: MatrixFactorization) -> MfMorphism:
     """The left unitor e (x) a -> a, both components (I, 0); a retraction."""
-    n = a.size
-    delta = hstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+    delta = _partial_identity(a.size, 2 * a.size)
     return MfMorphism(mult_tensor(e_object(), a), a, delta, delta)
 
 
 def rho(a: MatrixFactorization) -> MfMorphism:
     """The right unitor a (x) e -> a; the same value as ``lambda_(a)``."""
-    n = a.size
-    delta = hstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+    delta = _partial_identity(a.size, 2 * a.size)
     return MfMorphism(mult_tensor(a, e_object()), a, delta, delta)
 
 

@@ -16,9 +16,7 @@ potentials:
 The multiplicative product also acts on morphisms (one-sided whiskering and a
 full pairing), making it a bifunctor; those three constructions are validated
 on the nose here.  The syzygy swap distributes over the multiplicative
-product as a literal identity, which :func:`check_syzygy_identity` verifies;
-:func:`check_syzygy_inequalities` records the literal inequalities that
-distinguish it from the additive product's behaviour.
+product as a literal identity, which :func:`check_syzygy_identity` verifies.
 
 Variable disjointness between the two factors is deliberately not enforced;
 identifying variables (in particular for potential 1) is a supported use.
@@ -114,36 +112,4 @@ def check_syzygy_identity(
             if equal
             else "syzygy identity violated"
         ),
-    )
-
-
-def check_syzygy_inequalities(
-    x: MatrixFactorization, y: MatrixFactorization
-) -> CheckReport:
-    """Literal inequalities separating the multiplicative product from the
-    additive one under the syzygy swap.
-
-    Reports whether X (x) Y != syzygy(X) (x) syzygy(Y) and
-    syzygy(X) (x) Y != X (x) syzygy(Y) hold as literal matrix inequalities.
-    Equality is only possible for degenerate (symmetric) inputs, which the
-    report calls out; isomorphism is never tested, so results carry the
-    ``literal-only`` caveat.
-    """
-    plain = mult_tensor(x, y)
-    both_swapped = mult_tensor(x.syzygy(), y.syzygy())
-    left_swapped = mult_tensor(x.syzygy(), y)
-    right_swapped = mult_tensor(x, y.syzygy())
-    first_differs = plain != both_swapped
-    second_differs = left_swapped != right_swapped
-    notes = []
-    notes.append(
-        "X(x)Y != sX(x)sY" if first_differs else "X(x)Y == sX(x)sY (degenerate: phi(x)phi' = psi(x)psi')"
-    )
-    notes.append(
-        "sX(x)Y != X(x)sY" if second_differs else "sX(x)Y == X(x)sY (degenerate: psi(x)phi' = phi(x)psi')"
-    )
-    return CheckReport(
-        check_id="syzygy-inequalities",
-        verdict=PASS,
-        detail="; ".join(notes) + " [literal-only]",
     )

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 from mfcat.axiom_suites import (
     check_pentagon,
@@ -24,11 +25,13 @@ from mfcat.t_subcategory import (
     e_power,
     find_permutation_witness,
     gamma,
+    lambda_,
     rho,
 )
 from mfcat.tensor_products import (
     mult_tensor,
     mult_tensor_morph_left,
+    mult_tensor_morph_pair,
     mult_tensor_morph_right,
 )
 
@@ -288,3 +291,59 @@ def test_suite_verdicts_by_family():
     assert by_id["triangle[e^2,e^2]"].verdict == XFAIL_OK
     assert by_id["counterexample-e-not-pseudo-idempotent"].verdict == XFAIL_OK
     assert by_id[f"syzygy-identity[random,pairs=6]"].verdict == PASS
+
+
+def test_pentagon_sweeps_fail_when_a_quadruple_differs_at_matrix_level(monkeypatch):
+    # Both sweeps count quadruples with literally equal vertices; one
+    # matrix-level quadruple (never the case for e-powers) turns them to FAIL.
+    import mfcat.axiom_suites as suites
+
+    real = suites.check_pentagon
+
+    def one_matrix_level(a, b, c, d):
+        report = real(a, b, c, d)
+        if (a.size, b.size, c.size, d.size) == (2, 1, 1, 2):
+            return replace(report, detail=report.detail + suites._MATRIX_LEVEL)
+        return report
+
+    monkeypatch.setattr(suites, "check_pentagon", one_matrix_level)
+    reports = {r.check_id: r for r in suite_all(maxpow=2, samples=0, seed=0)}
+    for check_id, detail in (
+        ("pentagon[e-powers,maxpow=2]", "15/16 quadruples commute"),
+        ("rm-ax1[maxpow=2]", "15/16 e-power quadruples satisfy the pentagon-shaped Ax.1"),
+    ):
+        assert (reports[check_id].verdict, reports[check_id].detail) == (FAIL, detail)
+
+
+def test_rpm5_fails_when_the_unitor_sources_differ(monkeypatch):
+    # A right unitor at e with lambda's matrices but a source other than
+    # e (x) e: value-wise equal morphisms, so only the source test fails.
+    import mfcat.axiom_suites as suites
+
+    real = suites.rho
+    other = MatrixFactorization(
+        parse_matrix("[[1, 0], [1, 1]]"), parse_matrix("[[1, 0], [-1, 1]]"), Polynomial.one()
+    )
+    row = parse_matrix("[[1, 0]]")
+
+    def rho_from_other(a):
+        if a == e_object():
+            return MfMorphism(other, a, row, row)
+        return real(a)
+
+    monkeypatch.setattr(suites, "rho", rho_from_other)
+    reports = {r.check_id: r for r in check_right_pseudo_monoidal(0, 0)}
+    report = reports["rpm-5-rho-equals-lambda"]
+    assert report.verdict == FAIL
+    assert report.detail.startswith("rho == lambda value-wise on 0/1 objects")
+
+
+def test_triangle_witnesses_match_pairing_with_identity_morphisms():
+    # The triangle whiskers directly; pairing with identity morphisms gives
+    # the same Kronecker products.
+    objects = [e_object(), e_power(2), random_mf1(6, 2, 4), random_mf1(7, 3, 4)]
+    for a, b in itertools.product(objects, repeat=2):
+        lhs = mult_tensor_morph_pair(rho(a), b.identity_morphism())
+        rhs = mult_tensor_morph_pair(a.identity_morphism(), lambda_(b))
+        names = dict(check_triangle(a, b).witnesses)
+        assert names["lhs_alpha"] == lhs.alpha and names["rhs_alpha"] == rhs.alpha

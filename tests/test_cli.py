@@ -117,25 +117,67 @@ _MF_FILE = st.one_of(
     )
     .map(lambda lines: "\n".join(lines).encode("utf-8")),
 )
+# Valid files (the shipped samples and a unit with phi != psi), so that the
+# two-file tensor fuzz reaches the product and its printing.
+_VALID_MF_FILE = st.sampled_from(
+    [path.read_bytes() for path in sorted(SAMPLES.glob("*.mf"))]
+    + [b"potential = 1\nphi = [[1, x], [0, 1]]\npsi = [[1, -x], [0, 1]]\n"]
+)
 # A located error names a line of the file, a character position within a
 # value, or the first mismatching entry of a factor product.
 _LOCATED = re.compile(r"^error: .*(line \d+|position \d+|entry \(\d+, \d+\))")
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(_MF_FILE)
-def test_validate_fuzzed_files_exit_cleanly(data):
+def _run_on_fuzzed_files(command, files):
+    """Run ``mfcat`` on the given file contents; return (code, out, err)."""
     with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "fuzz.mf"
-        path.write_bytes(data)
+        paths = []
+        for index, data in enumerate(files):
+            path = Path(workdir) / f"fuzz{index}.mf"
+            path.write_bytes(data)
+            paths.append(str(path))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["validate", str(path)])
+            code = main([*command, *paths])
     assert code in (0, 1, 2)
     if code:
         assert _LOCATED.match(err.getvalue()), err.getvalue()
-    else:
-        assert out.getvalue().startswith("PASS validate")
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_MF_FILE)
+def test_validate_fuzzed_files_exit_cleanly(data):
+    code, out, _ = _run_on_fuzzed_files(["validate"], [data])
+    if not code:
+        assert out.startswith("PASS validate")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["mult", "yoshino"]),
+    st.one_of(_VALID_MF_FILE, _MF_FILE),
+    st.one_of(_VALID_MF_FILE, _MF_FILE),
+)
+def test_tensor_fuzzed_files_exit_cleanly(mode, first, second):
+    code, out, _ = _run_on_fuzzed_files(["tensor", "--mode", mode], [first, second])
+    if not code:
+        x, y = (factorization_from_text(data.decode()) for data in (first, second))
+        product = factorization_from_text(out)
+        assert product.size == 2 * x.size * y.size
+        if mode == "mult":
+            assert product.potential == x.potential * y.potential
+        else:
+            assert product.potential == x.potential + y.potential
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(_VALID_MF_FILE, _MF_FILE))
+def test_syzygy_fuzzed_files_exit_cleanly(data):
+    code, out, _ = _run_on_fuzzed_files(["syzygy"], [data])
+    if not code:
+        assert factorization_from_text(out) == factorization_from_text(data.decode()).syzygy()
 
 
 def test_tensor_mult_of_e_with_itself(capsys):

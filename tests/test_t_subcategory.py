@@ -3,8 +3,8 @@ import random
 import pytest
 
 from mfcat.errors import AssociativityMismatchError, NotEquivalentError
-from mfcat.factorizations import MatrixFactorization, MfMorphism
-from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
+from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
+from mfcat.matrices import PolyMatrix, direct_sum, hstack, parse_matrix, vstack
 from mfcat.polynomials import Polynomial
 from mfcat.t_subcategory import (
     associator,
@@ -26,7 +26,7 @@ from mfcat.tensor_products import (
     mult_tensor_morph_right,
 )
 
-from support import random_sub_permutation, random_t_morphism
+from support import random_mf1_morphism, random_sub_permutation, random_t_morphism
 
 UNIMODULAR_PAIR = MatrixFactorization(
     parse_matrix("[[4, 3], [1, 1]]"),
@@ -74,6 +74,70 @@ def test_connecting_morphism_cases():
     assert up.alpha == parse_matrix("[[1], [0]]")
     level = connecting_morphism(3, 3)
     assert level.alpha == PolyMatrix.identity(4)
+
+
+def _stacked_connecting_matrix(m: int, p: int) -> PolyMatrix:
+    # the three-way hstack/vstack construction, kept as an oracle
+    src_size, tgt_size = 1 << (m - 1), 1 << (p - 1)
+    if m > p:
+        return hstack(
+            PolyMatrix.identity(tgt_size),
+            PolyMatrix.zeros(tgt_size, src_size - tgt_size),
+        )
+    if m < p:
+        return vstack(
+            PolyMatrix.identity(src_size),
+            PolyMatrix.zeros(tgt_size - src_size, src_size),
+        )
+    return PolyMatrix.identity(src_size)
+
+
+def test_connecting_morphism_matches_stacked_construction():
+    for m in range(1, 5):
+        for p in range(1, 5):
+            cm = connecting_morphism(m, p)
+            expected = _stacked_connecting_matrix(m, p)
+            assert cm.alpha == expected and cm.beta == expected
+
+
+def test_unitor_matrices_match_stacked_construction():
+    for n in range(1, 5):
+        column = vstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+        row = hstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+        for obj in (random_mf1(n, n, 3), MatrixFactorization(
+            PolyMatrix.identity(n), PolyMatrix.identity(n), Polynomial.one()
+        )):
+            assert gamma(obj).alpha == column and gamma(obj).beta == column
+            assert lambda_(obj).alpha == row and lambda_(obj).beta == row
+            assert rho(obj).alpha == row and rho(obj).beta == row
+
+
+def test_is_identity_agrees_with_comparing_to_the_identity_morphism():
+    rng = random.Random(22)
+    morphisms = []
+    for obj in (e_object(), e_power(3), UNIMODULAR_PAIR, random_mf1(5, 3, 4)):
+        n = obj.size
+        eye_entries = PolyMatrix(n, n, {(k, k): Polynomial.one() for k in range(n)})
+        morphisms += [
+            obj.identity_morphism(),
+            MfMorphism(obj, obj, eye_entries, eye_entries),  # not the O(1) backend
+            lambda_(obj).compose(gamma(obj)),
+            gamma(obj).compose(lambda_(obj)),
+            l_iso(obj),
+        ]
+    morphisms += [connecting_morphism(m, p) for m in range(1, 4) for p in range(1, 4)]
+    for _ in range(20):
+        obj = random_mf1(rng.randrange(10**6), rng.randint(1, 3), 4)
+        morphisms.append(random_mf1_morphism(rng, obj, obj))
+    verdicts = []
+    for morphism in morphisms:
+        # component-wise equality; a shape mismatch compares unequal
+        expected = morphism == morphism.source.identity_morphism()
+        assert morphism.is_identity() == expected
+        verdicts.append(expected)
+    assert lambda_(UNIMODULAR_PAIR).compose(gamma(UNIMODULAR_PAIR)).is_identity()
+    assert not gamma(UNIMODULAR_PAIR).compose(lambda_(UNIMODULAR_PAIR)).is_identity()
+    assert True in verdicts and False in verdicts
 
 
 def test_connecting_morphisms_are_nonzero_t_morphisms():

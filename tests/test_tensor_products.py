@@ -10,7 +10,6 @@ from mfcat.reporting import PASS
 from mfcat.t_subcategory import e_object, e_power
 from mfcat.tensor_products import (
     check_syzygy_identity,
-    check_syzygy_inequalities,
     mult_tensor,
     mult_tensor_morph_left,
     mult_tensor_morph_pair,
@@ -199,21 +198,17 @@ def test_syzygy_identity_on_random_pairs():
 
 
 def test_syzygy_inequalities_on_asymmetric_pair():
+    # with phi != psi the swapped tensors genuinely differ
     x = divisor_swap_pair()
-    report = check_syzygy_inequalities(x, x)
-    assert "X(x)Y != sX(x)sY" in report.detail
-    assert "sX(x)Y != X(x)sY" in report.detail
-    assert "literal-only" in report.detail
-    # direct expansion: the swapped tensor genuinely differs
     assert mult_tensor(x, x) != mult_tensor(x.syzygy(), x.syzygy())
     assert mult_tensor(x.syzygy(), x) != mult_tensor(x, x.syzygy())
 
 
 def test_syzygy_inequalities_degenerate_on_e():
+    # e is its own syzygy, so both inequalities degenerate to equalities
     e = e_object()
-    report = check_syzygy_inequalities(e, e)
-    assert "degenerate" in report.detail
-    assert "literal-only" in report.detail
+    assert mult_tensor(e, e) == mult_tensor(e.syzygy(), e.syzygy())
+    assert mult_tensor(e.syzygy(), e) == mult_tensor(e, e.syzygy())
 
 
 def test_syzygy_inequalities_on_random_asymmetric_pairs():
@@ -222,3 +217,4 @@ def test_syzygy_inequalities_on_random_asymmetric_pairs():
         x = random_valid_mf(rng, 2, asymmetric=True)
         y = random_valid_mf(rng, rng.randint(1, 3), asymmetric=True)
         assert mult_tensor(x, y) != mult_tensor(x.syzygy(), y.syzygy())
+        assert mult_tensor(x.syzygy(), y) != mult_tensor(x, y.syzygy())
