@@ -114,8 +114,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    x = _read_factorization(args.first)
-    y = _read_factorization(args.second)
+    factors = []
+    for path in (args.first, args.second):
+        try:
+            factors.append(_read_factorization(path))
+        except MfcatError as exc:
+            raise MfcatError(f"{path}: {exc}") from exc
+    x, y = factors
     product = mult_tensor(x, y) if args.mode == "mult" else yoshino_tensor(x, y)
     _emit(factorization_to_text(product), args.output)
     return 0

@@ -20,6 +20,7 @@ class ParseError(MfcatError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

@@ -23,16 +23,18 @@ import random
 
 from .errors import (
     ComposabilityError,
+    MfcatError,
     MfFileError,
     NotSquareError,
     PotentialMismatchError,
     ProductMismatchError,
     ShapeMismatchError,
+    SizeGuardError,
     SizeMismatchError,
     SquareFailureError,
 )
 from .matrices import PolyMatrix, matrix_literal, parse_matrix
-from .polynomials import ONE, Polynomial, parse_polynomial, random_polynomial
+from .polynomials import MAX_EXPONENT, ONE, Polynomial, parse_polynomial, random_polynomial
 
 
 def _first_mismatch(a: PolyMatrix, b: PolyMatrix) -> tuple[int, int] | None:
@@ -239,11 +241,18 @@ def random_mf1(seed: int, size: int, num_elementary: int) -> MatrixFactorization
 
 
 def factorization_to_text(x: MatrixFactorization) -> str:
-    return (
-        f"potential = {x.potential}\n"
-        f"phi = {matrix_literal(x.phi)}\n"
-        f"psi = {matrix_literal(x.psi)}\n"
+    """The file text of ``x``; refused if the reader could not read it back."""
+    phi, psi = matrix_literal(x.phi), matrix_literal(x.psi)
+    exponent = max(
+        [x.potential.max_exponent()]
+        + [p.max_exponent() for m in (x.phi, x.psi) for _, _, p in m.items()]
     )
+    if exponent > MAX_EXPONENT:
+        raise SizeGuardError(
+            f"an exponent of {exponent} exceeds the .mf reader's limit "
+            f"({MAX_EXPONENT})"
+        )
+    return f"potential = {x.potential}\nphi = {phi}\npsi = {psi}\n"
 
 
 def factorization_from_text(text: str) -> MatrixFactorization:
@@ -266,7 +275,7 @@ def factorization_from_text(text: str) -> MatrixFactorization:
         try:
             parse = parse_polynomial if key == "potential" else parse_matrix
             value = parse(value.strip())
-        except Exception as exc:
+        except MfcatError as exc:
             raise MfFileError(str(exc), lineno) from exc
         if key != "potential":
             # Shape errors are reported at the line that causes them; the

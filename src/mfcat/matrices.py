@@ -12,6 +12,9 @@ A size guard rejects results beyond ``MAX_SIDE`` per dimension: tensor
 constructions double sizes, and the guard turns runaway growth into a clear
 error instead of memory exhaustion.  Printing is guarded the same way: a
 dense matrix literal of more than ``MAX_PRINT_ENTRIES`` entries is refused.
+
+Matrix literals are read with the polynomial scanner, each entry in place, so
+an error carries one position, counted from the start of the literal.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from typing import Iterator, Mapping, Sequence
 from .errors import (
     DimensionMismatchError,
     MatrixSyntaxError,
+    ParseError,
     SizeGuardError,
 )
-from .polynomials import ONE, ZERO, Polynomial, parse_polynomial
+from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _Tokenizer, parse_polynomial
 
 # Tensor powers of the trivial factorization reach side 2**19 in the largest
 # check-suite configuration; one extra power of two of headroom.
@@ -344,60 +348,32 @@ def matrix_literal(a: PolyMatrix) -> str:
     ) + "]"
 
 
+def _expect(tok: _Tokenizer, symbol: str) -> None:
+    if tok.take_symbol(symbol) is None:
+        raise MatrixSyntaxError(f"expected {symbol!r}", tok.pos)
+
+
+def _parse_entry(tok: _Tokenizer) -> Polynomial:
+    try:
+        return _parse_sum(tok)
+    except ParseError as exc:
+        raise MatrixSyntaxError(f"bad entry: {exc.message}", exc.position) from exc
+
+
+def _parse_list(tok: _Tokenizer, parse_item) -> list:
+    """Read ``'[' item (',' item)* ']'``."""
+    _expect(tok, "[")
+    items = [parse_item(tok)]
+    while tok.take_symbol(","):
+        items.append(parse_item(tok))
+    _expect(tok, "]")
+    return items
+
+
 def parse_matrix(text: str) -> PolyMatrix:
     """Parse a matrix literal with polynomial entries."""
-    pos = 0
-
-    def skip_space():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_space()
-        if pos >= len(text) or text[pos] != ch:
-            raise MatrixSyntaxError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def parse_row() -> list[Polynomial]:
-        nonlocal pos
-        expect("[")
-        row: list[Polynomial] = []
-        while True:
-            skip_space()
-            start = pos
-            while pos < len(text) and text[pos] not in ",]":
-                pos += 1
-            if pos >= len(text):
-                raise MatrixSyntaxError("unterminated row", start)
-            chunk = text[start:pos]
-            if not chunk.strip():
-                raise MatrixSyntaxError("empty matrix entry", start)
-            try:
-                row.append(parse_polynomial(chunk))
-            except MatrixSyntaxError:
-                raise
-            except Exception as exc:
-                raise MatrixSyntaxError(f"bad entry: {exc}", start) from exc
-            if text[pos] == ",":
-                pos += 1
-                continue
-            pos += 1  # consume ']'
-            return row
-
-    skip_space()
-    expect("[")
-    rows = [parse_row()]
-    while True:
-        skip_space()
-        if pos < len(text) and text[pos] == ",":
-            pos += 1
-            rows.append(parse_row())
-            continue
-        break
-    expect("]")
-    skip_space()
-    if pos != len(text):
-        raise MatrixSyntaxError("trailing input after matrix literal", pos)
+    tok = _Tokenizer(text)
+    rows = _parse_list(tok, lambda tok: _parse_list(tok, _parse_entry))
+    if not tok.at_end():
+        raise MatrixSyntaxError("trailing input after matrix literal", tok.pos)
     return PolyMatrix.from_rows(rows)

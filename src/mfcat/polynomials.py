@@ -29,11 +29,17 @@ Grammar accepted by :func:`parse_polynomial` (whitespace insignificant)::
     var    := letter (letter|digit|'_')*
 
 As a convenience a bare leading '-' (as in ``-x``) is accepted and read as
-coefficient -1, so canonical output always re-parses.
+coefficient -1, so canonical output always re-parses.  A variable's exponent
+within a term, summed over its factors, may not exceed ``MAX_EXPONENT``.
+
+A sum is collected into one term mapping and built once, so parsing is linear
+in the input.  An error names one 0-based position in the text read; matrix
+literals are read with the same scanner (see :mod:`mfcat.matrices`).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -147,6 +153,10 @@ class Polynomial:
         if not self._terms:
             return 0
         return max(sum(exp for _, exp in m) for m in self._terms)
+
+    def max_exponent(self) -> int:
+        """The largest exponent of any one variable (0 for a constant)."""
+        return max((exp for m in self._terms for _, exp in m), default=0)
 
     def variables(self) -> set[str]:
         return {var for m in self._terms for var, _ in m}
@@ -350,18 +360,23 @@ class _Tokenizer:
     def take_nat(self) -> int | None:
         self.skip_space()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             return None
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # beyond the interpreter's int-string digit limit
+            raise PolynomialSyntaxError(
+                f"numeral of {self.pos - start} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+                start,
+            ) from None
 
     def take_name(self) -> str | None:
         self.skip_space()
         start = self.pos
-        if self.pos < len(self.text) and (
-            self.text[self.pos].isalpha()
-        ):
+        if self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
             while self.pos < len(self.text) and (
                 self.text[self.pos].isalnum() or self.text[self.pos] == "_"
@@ -375,65 +390,63 @@ class _Tokenizer:
         return self.pos >= len(self.text)
 
 
-def _parse_rational(tok: _Tokenizer, negative: bool) -> Fraction:
+def _parse_rational(tok: _Tokenizer) -> Fraction:
     numerator = tok.take_nat()
-    assert numerator is not None
-    if tok.take_symbol("/"):
-        denom_pos = tok.pos
-        denominator = tok.take_nat()
-        if denominator is None:
-            raise MalformedRationalError("expected denominator after '/'", denom_pos)
-        if denominator == 0:
-            raise MalformedRationalError("zero denominator", denom_pos)
-        value = Fraction(numerator, denominator)
-    else:
-        value = Fraction(numerator)
-    return -value if negative else value
+    if not tok.take_symbol("/"):
+        return Fraction(numerator)
+    denom_pos = tok.pos
+    denominator = tok.take_nat()
+    if denominator is None:
+        raise MalformedRationalError("expected denominator after '/'", denom_pos)
+    if denominator == 0:
+        raise MalformedRationalError("zero denominator", denom_pos)
+    return Fraction(numerator, denominator)
 
 
-def _parse_factor(tok: _Tokenizer) -> tuple[str, int]:
-    name = tok.take_name()
-    if name is None:
-        raise PolynomialSyntaxError("expected a variable", tok.pos)
-    exponent = 1
-    if tok.take_symbol("^"):
-        exp_pos = tok.pos
-        exponent_value = tok.take_nat()
-        if exponent_value is None:
-            raise PolynomialSyntaxError("expected an exponent after '^'", exp_pos)
-        if exponent_value > MAX_EXPONENT:
-            raise ExponentOverflowError(
-                f"exponent {exponent_value} exceeds limit {MAX_EXPONENT}", exp_pos
-            )
-        exponent = exponent_value
-    return name, exponent
-
-
-def _parse_term(tok: _Tokenizer) -> Polynomial:
-    negative = tok.take_symbol("-") is not None
-    coefficient: Fraction | None = None
-    if tok.peek().isdigit():
-        coefficient = _parse_rational(tok, negative)
-        if tok.take_symbol("*"):
-            pass  # explicit coeff*factor separator
-        elif not (tok.peek().isalpha()):
-            return Polynomial.constant(coefficient)
-    elif negative:
-        coefficient = Fraction(-1)  # bare '-x' convenience
-    if not tok.peek().isalpha():
-        raise PolynomialSyntaxError("expected a term", tok.pos)
+def _parse_term(tok: _Tokenizer) -> tuple[Monomial, Fraction]:
+    sign = -1 if tok.take_symbol("-") else 1  # a bare '-x' reads as -1*x
+    coefficient = Fraction(sign)
+    if tok.peek().isdecimal():
+        coefficient = sign * _parse_rational(tok)
+        if not tok.take_symbol("*") and not tok.peek().isalpha():
+            return (), coefficient
     exponents: dict[str, int] = {}
-    var, exp = _parse_factor(tok)
-    exponents[var] = exponents.get(var, 0) + exp
-    while tok.take_symbol("*"):
-        var, exp = _parse_factor(tok)
-        exponents[var] = exponents.get(var, 0) + exp
-    if coefficient is None:
-        coefficient = Fraction(1)
-    monomial = _sort_monomial(
-        (var, exp) for var, exp in exponents.items() if exp > 0
-    )
-    return Polynomial({monomial: coefficient})
+    while True:
+        tok.skip_space()
+        position, exponent = tok.pos, 1
+        name = tok.take_name()
+        if name is None:
+            message = "expected a variable" if exponents else "expected a term"
+            raise PolynomialSyntaxError(message, position)
+        if tok.take_symbol("^"):
+            position = tok.pos
+            exponent = tok.take_nat()
+            if exponent is None:
+                raise PolynomialSyntaxError("expected an exponent after '^'", position)
+        # The bound applies to the exponent the term ends up with: x^a*x^b is
+        # x^(a+b), and its canonical form must parse again.
+        exponent += exponents.get(name, 0)
+        if exponent > MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"exponent {exponent} exceeds limit {MAX_EXPONENT}", position
+            )
+        exponents[name] = exponent
+        if not tok.take_symbol("*"):
+            monomial = _sort_monomial((v, e) for v, e in exponents.items() if e)
+            return monomial, coefficient
+
+
+def _parse_sum(tok: _Tokenizer) -> Polynomial:
+    """Read ``term (('+'|'-') term)*``, stopping before any other symbol."""
+    terms: dict[Monomial, Fraction] = {}
+    sign: str | None = "+"
+    while sign:
+        monomial, coefficient = _parse_term(tok)
+        if sign == "-":
+            coefficient = -coefficient
+        terms[monomial] = terms.get(monomial, 0) + coefficient
+        sign = tok.take_symbol("+-")
+    return Polynomial(terms)
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -445,13 +458,7 @@ def parse_polynomial(text: str) -> Polynomial:
     tok = _Tokenizer(text)
     if tok.at_end():
         raise PolynomialSyntaxError("empty polynomial", tok.pos)
-    result = _parse_term(tok)
-    while True:
-        symbol = tok.take_symbol("+-")
-        if symbol is None:
-            break
-        term = _parse_term(tok)
-        result = result + term if symbol == "+" else result - term
+    result = _parse_sum(tok)
     if not tok.at_end():
         raise PolynomialSyntaxError(
             f"unexpected character {tok.peek()!r}", tok.pos
@@ -473,20 +480,19 @@ def random_polynomial(
 ) -> Polynomial:
     """Draw a small random polynomial from ``rng`` (a ``random.Random``)."""
     n_terms = rng.randint(0 if allow_zero else 1, max_terms)
-    total = _ZERO
+    terms: dict[Monomial, int] = {}
     for _ in range(n_terms):
-        coefficient = Fraction(0)
+        coefficient = 0
         while coefficient == 0:
-            coefficient = Fraction(
-                rng.randint(-coefficient_bound, coefficient_bound)
-            )
+            coefficient = rng.randint(-coefficient_bound, coefficient_bound)
         degree = rng.randint(0, max_degree)
         exponents: dict[str, int] = {}
         for _ in range(degree):
             var = rng.choice(variables)
             exponents[var] = exponents.get(var, 0) + 1
         monomial = _sort_monomial(exponents.items())
-        total = total + Polynomial({monomial: coefficient})
+        terms[monomial] = terms.get(monomial, 0) + coefficient
+    total = Polynomial(terms)
     if not allow_zero and total.is_zero():
         return Polynomial.one()
     return total

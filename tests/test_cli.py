@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,73 @@ def test_tensor_yoshino_writes_output_file(tmp_path, capsys):
     result = factorization_from_text(out_path.read_text())
     assert result.size == 2
     assert str(result.potential) == "2"
+
+
+def test_tensor_refuses_output_the_reader_would_reject(tmp_path, capsys):
+    # x^1000000 is the largest exponent a file may hold; the product with
+    # itself has x^2000000, so nothing may be printed or written.
+    big = tmp_path / "big.mf"
+    big.write_text("potential = x^1000000\nphi = [[x^1000000]]\npsi = [[1]]\n")
+    code, out, _ = run_cli(capsys, "validate", str(big))
+    assert code == 0
+    out_path = tmp_path / "product.mf"
+    for extra in ([], ["--output", str(out_path)]):
+        code, out, err = run_cli(capsys, "tensor", str(big), str(big), *extra)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: an exponent of 2000000 exceeds the .mf reader's limit (1000000)\n"
+        )
+    assert not out_path.exists()
+
+
+def test_tensor_names_the_file_that_fails(tmp_path, capsys):
+    good = str(SAMPLES / "e.mf")
+    mismatch = tmp_path / "mismatch.mf"
+    mismatch.write_text("potential = x\nphi = [[x]]\npsi = [[x]]\n")
+    syntax = tmp_path / "syntax.mf"
+    syntax.write_text("potential = 1\nphi = [[1,]]\npsi = [[1]]\n")
+    cases = [
+        (mismatch, "phi*psi != potential*I, first mismatch at entry (0, 0)"),
+        (syntax, "line 2: bad entry: expected a term (at position 4)"),
+    ]
+    for bad, message in cases:
+        for files in ([good, str(bad)], [str(bad), good]):
+            for mode in ("mult", "yoshino"):
+                code, out, err = run_cli(capsys, "tensor", "--mode", mode, *files)
+                assert (code, out) == (2, "")
+                assert err == f"error: {bad}: {message}\n"
+        # validate keeps its message without the file name.
+        code, _, err = run_cli(capsys, "validate", str(bad))
+        assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_validate_rejects_an_overlong_numeral_at_its_position(tmp_path, capsys):
+    numeral = "9" * 5000
+    cases = [
+        (f"potential = {numeral}\nphi = [[1]]\npsi = [[1]]\n", "line 1", 0),
+        (f"potential = 1\nphi = [[1, {numeral}]]\npsi = [[1]]\n", "line 2", 5),
+    ]
+    for text, line, position in cases:
+        path = tmp_path / "long.mf"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {line}: ")
+        assert "numeral of 5000 digits exceeds the limit" in err
+        assert err.count("(at position") == 1
+        assert err.endswith(f"(at position {position})\n")
+
+
+def test_validate_of_a_long_potential_takes_linear_time(tmp_path, capsys):
+    # 12,000 terms: folding them one by one took minutes (quadratic).
+    potential = " + ".join(f"x^{k}" for k in range(1, 12001))
+    path = tmp_path / "long.mf"
+    path.write_text(f"potential = {potential}\nphi = [[1]]\npsi = [[{potential}]]\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.startswith("PASS validate") and "size=1" in out
+    assert elapsed < 10, elapsed
 
 
 def test_syzygy_swaps_factors(capsys):

@@ -209,6 +209,45 @@ def test_matrix_literal_errors():
         parse_matrix("[[x]] trailing")
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("[[x,], [y, z]]", "bad entry: expected a term", 4),
+        ("[[ ]]", "bad entry: expected a term", 3),
+        ("[[", "bad entry: expected a term", 2),
+        ("[[x, y + ]]", "bad entry: expected a term", 9),
+        ("[[x, 1/0]]", "bad entry: zero denominator", 7),
+        ("[[x, y^]]", "bad entry: expected an exponent after '^'", 7),
+        ("[[x^99999999]]", "bad entry: exponent 99999999 exceeds limit 1000000", 4),
+        ("[[x, x^600000*x^600000]]", "bad entry: exponent 1200000 exceeds limit 1000000", 16),
+        ("[[1, " + "9" * 5000 + "]]", "bad entry: numeral of 5000 digits exceeds", 5),
+        ("[[[x]]]", "bad entry: expected a term", 2),
+        ("[[x y]]", "expected ']'", 4),
+        ("[[x, y@]]", "expected ']'", 6),
+        ("[[x", "expected ']'", 3),
+        ("[[x] [y]]", "expected ']'", 5),
+        ("[x]", "expected '['", 1),
+        ("x", "expected '['", 0),
+        ("[[x]] trailing", "trailing input after matrix literal", 6),
+    ],
+    ids=lambda value: value[:24] if isinstance(value, str) else None,
+)
+def test_malformed_literals_carry_one_position(text, message, position):
+    with pytest.raises(MatrixSyntaxError) as info:
+        parse_matrix(text)
+    assert str(info.value).startswith(message)
+    assert info.value.position == position
+    assert str(info.value).count("(at position") == 1
+
+
+def test_entries_parse_in_place_like_standalone_polynomials():
+    entries = ["x^2 + y^2", "-x", "1/2*x*y - 3", "x - -y", "0*x + x^0", "x + x - 2*x"]
+    text = "[[" + ", ".join(entries[:3]) + "],\n [" + ",".join(entries[3:]) + " ]]"
+    assert parse_matrix(text) == PolyMatrix.from_rows(
+        [[parse_polynomial(e) for e in entries[:3]], [parse_polynomial(e) for e in entries[3:]]]
+    )
+
+
 def test_entry_access_bounds():
     a = PolyMatrix.identity(2)
     assert a.entry(0, 0).is_one()

@@ -100,6 +100,92 @@ def test_empty_input_rejected():
         parse_polynomial("   ")
 
 
+# Terms as (coefficient or None, [(variable, exponent)]); exponents include 0
+# and variables repeat, so terms collide, cancel and fold to constants.
+_TERM = st.tuples(
+    st.sampled_from([None, 0, 1, 2, 7, Fraction(3, 2), Fraction(1, 3)]),
+    st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 3)), max_size=3),
+)
+# Binary operators between terms; " - -" and " + -" negate the next term.
+_OPERATOR = st.sampled_from([" + ", " - ", " - -", " + -", "+", "-"])
+
+
+def _render_term(term):
+    coefficient, factors = term
+    parts = [] if coefficient is None else [str(coefficient)]
+    parts += [var if exp == 1 else f"{var}^{exp}" for var, exp in factors]
+    return "*".join(parts) or "1"
+
+
+def _term_value(term):
+    coefficient, factors = term
+    value = Polynomial.constant(1 if coefficient is None else coefficient)
+    for var, exp in factors:
+        value = value * Polynomial.variable(var, exp)
+    return value
+
+
+@given(st.booleans(), _TERM, st.lists(st.tuples(_OPERATOR, _TERM), max_size=8))
+def test_single_build_parse_matches_term_by_term_fold(negate_first, first, rest):
+    # The oracle is the fold the parser used to run: one Polynomial per term,
+    # accumulated with result + term or result - term.
+    text = ("-" if negate_first else "") + _render_term(first)
+    expected = -_term_value(first) if negate_first else _term_value(first)
+    for operator, term in rest:
+        text += operator + _render_term(term)
+        if operator.count("-") % 2:
+            expected = expected - _term_value(term)
+        else:
+            expected = expected + _term_value(term)
+    parsed = parse_polynomial(text)
+    assert parsed == expected and hash(parsed) == hash(expected)
+    assert canonical_string(parsed) == canonical_string(expected)
+
+
+def test_exponent_bound_applies_to_a_variable_within_a_term():
+    # x^600000*x^600000 used to parse to x^1200000, which does not re-parse.
+    assert parse_polynomial("x^1000000*y^1000000 + x^1000000") == (
+        Polynomial.variable("x", 10**6) * (Polynomial.variable("y", 10**6) + 1)
+    )
+    assert parse_polynomial("x^0*x^1000000") == Polynomial.variable("x", 10**6)
+    for text in ("x^600000*x^600000", "x^1000000*x", "y*x^999999*x*x"):
+        with pytest.raises(ExponentOverflowError):
+            parse_polynomial(text)
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, error, position",
+    [
+        ("x + @", PolynomialSyntaxError, 4),
+        ("x y", PolynomialSyntaxError, 2),
+        ("x*", PolynomialSyntaxError, 2),
+        ("2*+x", PolynomialSyntaxError, 2),
+        ("- -x", PolynomialSyntaxError, 2),
+        ("x^", PolynomialSyntaxError, 2),
+        ("x^\u00b2", PolynomialSyntaxError, 2),
+        ("\u00b2", PolynomialSyntaxError, 0),
+        ("3/0", MalformedRationalError, 2),
+        ("3/x", MalformedRationalError, 2),
+        ("x^9999999", ExponentOverflowError, 2),
+        ("x^600000*x^600000", ExponentOverflowError, 11),
+        ("x^1000000*x", ExponentOverflowError, 10),
+        (_LONG, PolynomialSyntaxError, 0),
+        ("x + " + _LONG, PolynomialSyntaxError, 4),
+        ("x^" + _LONG, PolynomialSyntaxError, 2),
+        ("1/" + _LONG, PolynomialSyntaxError, 2),
+    ],
+    ids=lambda value: value[:24] if isinstance(value, str) else None,
+)
+def test_malformed_polynomials_carry_one_position(text, error, position):
+    with pytest.raises(error) as info:
+        parse_polynomial(text)
+    assert info.value.position == position
+    assert str(info.value).count("(at position") == 1
+
+
 def test_addition_identity_and_cancellation():
     p = parse_polynomial("x^2 + y^2")
     assert p + Polynomial.zero() == p
