@@ -3,7 +3,8 @@
 A matrix factorization of a polynomial f is a pair of n x n matrices
 (phi, psi) with phi*psi = psi*phi = f*I, both products checked exactly on
 construction.  The library never inverts a matrix symbolically: both factors
-are always supplied, and validation is two multiplications.
+are always supplied, and validation is two multiplications, each product
+compared entry by entry with f*I without building f*I.
 
 A morphism (phi1, psi1) -> (phi2, psi2) between factorizations of the same f
 is a pair (alpha, beta) of n2 x n1 matrices making the two squares commute:
@@ -37,15 +38,25 @@ from .matrices import PolyMatrix, matrix_literal, parse_matrix
 from .polynomials import MAX_EXPONENT, ONE, Polynomial, parse_polynomial, random_polynomial
 
 
-def _first_mismatch(a: PolyMatrix, b: PolyMatrix) -> tuple[int, int] | None:
-    """Row-major coordinates of the first differing entry, or None."""
-    if a == b:
-        return None
-    keys = {(i, j) for i, j, _ in a.items()} | {(i, j) for i, j, _ in b.items()}
-    for i, j in sorted(keys):
-        if a.entry(i, j) != b.entry(i, j):
-            return (i, j)
-    return None
+def _first_mismatch(product: PolyMatrix, potential: Polynomial) -> tuple[int, int] | None:
+    """Row-major coordinates of the first entry of ``product`` that differs
+    from ``potential * I``, or None."""
+    if product.is_identity():
+        return None if potential.is_one() else (0, 0)
+    first = None
+    matching = set()  # k with product[k, k] == potential
+    for i, j, p in product.items():
+        if i == j and p == potential:
+            matching.add(i)
+        elif first is None or (i, j) < first:
+            first = (i, j)
+    if not potential.is_zero():
+        # A diagonal entry missing from the sparse product is zero, so wrong;
+        # only rows up to the first stored mismatch can hold an earlier one.
+        for k in range(product.rows if first is None else first[0] + 1):
+            if k not in matching:
+                return (k, k) if first is None else min(first, (k, k))
+    return first
 
 
 class MatrixFactorization:
@@ -64,18 +75,16 @@ class MatrixFactorization:
             )
         if not isinstance(potential, Polynomial):
             potential = Polynomial.constant(potential)
-        n = phi.rows
-        expected = potential * PolyMatrix.identity(n)
-        mismatch = _first_mismatch(phi @ psi, expected)
+        mismatch = _first_mismatch(phi @ psi, potential)
         if mismatch is not None:
             raise ProductMismatchError("phi*psi", mismatch)
-        mismatch = _first_mismatch(psi @ phi, expected)
+        mismatch = _first_mismatch(psi @ phi, potential)
         if mismatch is not None:
             raise ProductMismatchError("psi*phi", mismatch)
         self.potential = potential
         self.phi = phi
         self.psi = psi
-        self.size = n
+        self.size = phi.rows
 
     def syzygy(self) -> "MatrixFactorization":
         """Swap the two factors; an involution preserving potential and size."""

@@ -13,6 +13,9 @@ potentials:
 
       ( (phi (x) phi') (+) (phi (x) phi') , (psi (x) psi') (+) (psi (x) psi') )
 
+  Each doubled block I_2 (x) (a (x) b) is built in one pass, every entry
+  product computed once and stored at both block positions.
+
 The multiplicative product also acts on morphisms (one-sided whiskering and a
 full pairing), making it a bifunctor; those three constructions are validated
 on the nose here.  The syzygy swap distributes over the multiplicative
@@ -25,12 +28,22 @@ identifying variables (in particular for potential 1) is a supported use.
 from __future__ import annotations
 
 from .factorizations import MatrixFactorization, MfMorphism
-from .matrices import PolyMatrix, block2x2, direct_sum, kronecker
+from .matrices import PolyMatrix, _guard, block2x2, kronecker
 from .reporting import FAIL, PASS, CheckReport
 
 
-def _doubled(m: PolyMatrix) -> PolyMatrix:
-    return direct_sum(m, m)
+def _doubled_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """I_2 (x) (a (x) b), i.e. (a (x) b) (+) (a (x) b), each product computed once."""
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    _guard(rows, cols)  # an oversized a (x) b is reported at its own size
+    if a.is_identity() and b.is_identity():
+        return PolyMatrix.identity(2 * rows)
+    entries = {}
+    for i, j, p in a.items():
+        for k, l, q in b.items():
+            r, c = i * b.rows + k, j * b.cols + l
+            entries[(r, c)] = entries[(rows + r, cols + c)] = p * q
+    return PolyMatrix(2 * rows, 2 * cols, entries)
 
 
 def yoshino_tensor(
@@ -42,12 +55,12 @@ def yoshino_tensor(
     first = block2x2(
         kronecker(x.phi, eye_m),
         kronecker(eye_n, y.phi),
-        -kronecker(eye_n, y.psi),
+        kronecker(eye_n, -y.psi),
         kronecker(x.psi, eye_m),
     )
     second = block2x2(
         kronecker(x.psi, eye_m),
-        -kronecker(eye_n, y.phi),
+        kronecker(eye_n, -y.phi),
         kronecker(eye_n, y.psi),
         kronecker(x.phi, eye_m),
     )
@@ -59,8 +72,8 @@ def mult_tensor(
 ) -> MatrixFactorization:
     """The multiplicative tensor product, a validated factorization of f*g."""
     return MatrixFactorization(
-        _doubled(kronecker(x.phi, y.phi)),
-        _doubled(kronecker(x.psi, y.psi)),
+        _doubled_kronecker(x.phi, y.phi),
+        _doubled_kronecker(x.psi, y.psi),
         x.potential * y.potential,
     )
 
@@ -71,8 +84,8 @@ def mult_tensor_morph_left(z: MfMorphism, y: MatrixFactorization) -> MfMorphism:
     return MfMorphism(
         mult_tensor(z.source, y),
         mult_tensor(z.target, y),
-        _doubled(kronecker(z.alpha, eye)),
-        _doubled(kronecker(z.beta, eye)),
+        _doubled_kronecker(z.alpha, eye),
+        _doubled_kronecker(z.beta, eye),
     )
 
 
@@ -82,8 +95,8 @@ def mult_tensor_morph_right(x: MatrixFactorization, z: MfMorphism) -> MfMorphism
     return MfMorphism(
         mult_tensor(x, z.source),
         mult_tensor(x, z.target),
-        _doubled(kronecker(eye, z.alpha)),
-        _doubled(kronecker(eye, z.beta)),
+        _doubled_kronecker(eye, z.alpha),
+        _doubled_kronecker(eye, z.beta),
     )
 
 
@@ -92,8 +105,8 @@ def mult_tensor_morph_pair(zf: MfMorphism, zg: MfMorphism) -> MfMorphism:
     return MfMorphism(
         mult_tensor(zf.source, zg.source),
         mult_tensor(zf.target, zg.target),
-        _doubled(kronecker(zf.alpha, zg.alpha)),
-        _doubled(kronecker(zf.beta, zg.beta)),
+        _doubled_kronecker(zf.alpha, zg.alpha),
+        _doubled_kronecker(zf.beta, zg.beta),
     )
 
 

@@ -398,6 +398,18 @@ def test_suite_output_matches_pinned_report(capsys):
     assert out.encode("utf-8") == expected
 
 
+def test_epower_sweeps_to_maxpow4_match_pinned_report(capsys):
+    # The larger e-power sweeps (pentagon, rm-axioms, semi-unit diagrams up
+    # to e^4), which the maxpow-2 fixtures do not reach.
+    expected = (DATA / "suite_all_maxpow4_samples0_seed0.txt").read_bytes()
+    code, out, err = run_cli(
+        capsys, "suite", "all", "--maxpow", "4", "--samples", "0", "--seed", "0"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.encode("utf-8") == expected
+
+
 def test_structured_suite_output_matches_pinned_report(capsys):
     # Only the structured form renders the witnesses (the rearrangement's P,
     # the triangle's lhs_alpha/rhs_alpha), so this pins them byte for byte.

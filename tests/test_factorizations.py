@@ -261,3 +261,69 @@ def test_invalid_factorization_file_propagates_validation_error():
     text = "potential = x\nphi = [[x]]\npsi = [[x]]\n"
     with pytest.raises(ProductMismatchError):
         factorization_from_text(text)
+
+
+def _two_matrix_first_mismatch(a, b):
+    """The first differing entry of two matrices, row-major: the reference
+    for validation, which compares with f*I without building it."""
+    if a == b:
+        return None
+    keys = {(i, j) for i, j, _ in a.items()} | {(i, j) for i, j, _ in b.items()}
+    for i, j in sorted(keys):
+        if a.entry(i, j) != b.entry(i, j):
+            return (i, j)
+    return None
+
+
+def _oracle_verdict(phi, psi, potential):
+    expected = potential * PolyMatrix.identity(phi.rows)
+    for side, product in (("phi*psi", phi @ psi), ("psi*phi", psi @ phi)):
+        mismatch = _two_matrix_first_mismatch(product, expected)
+        if mismatch is not None:
+            error = ProductMismatchError(side, mismatch)
+            return (type(error), str(error), error.coords)
+    return None
+
+
+def _verdict(phi, psi, potential):
+    try:
+        MatrixFactorization(phi, psi, potential)
+    except ProductMismatchError as exc:
+        return (type(exc), str(exc), exc.coords)
+    return None
+
+
+def test_validation_reports_the_entry_the_two_matrix_comparison_reports():
+    values = [parse_polynomial(v) for v in ("0", "1", "-1", "2", "x", "x + 1", "y", "1/2")]
+    rng = random.Random(75)
+
+    def factor(n):
+        kind = rng.random()
+        if kind < 0.15:
+            return PolyMatrix.identity(n)
+        if kind < 0.25:  # an identity stored entry by entry
+            return PolyMatrix(n, n, {(k, k): values[1] for k in range(n)})
+        # zeros weighted up so that missing diagonal entries occur often
+        return PolyMatrix(n, n, {
+            (i, j): rng.choice(values[:1] * 4 + values)
+            for i in range(n)
+            for j in range(n)
+        })
+
+    accepted = rejected = 0
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        phi, psi = factor(n), factor(n)
+        potential = rng.choice(values)
+        if rng.random() < 0.3:
+            # a potential the product may match on part of the diagonal
+            potential = (phi @ psi).entry(0, 0)
+        expected = _oracle_verdict(phi, psi, potential)
+        assert _verdict(phi, psi, potential) == expected, (phi, psi, potential)
+        accepted += expected is None
+        rejected += expected is not None
+    for n in (1, 2, 3):
+        eye = PolyMatrix.identity(n)
+        for potential in values:
+            assert _verdict(eye, eye, potential) == _oracle_verdict(eye, eye, potential)
+    assert accepted > 50 and rejected > 50

@@ -4,11 +4,12 @@ import pytest
 
 from mfcat.errors import SizeGuardError
 from mfcat.factorizations import MatrixFactorization, random_mf1
-from mfcat.matrices import direct_sum, parse_matrix
-from mfcat.polynomials import Polynomial, parse_polynomial
+from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
+from mfcat.polynomials import ONE, Polynomial, parse_polynomial
 from mfcat.reporting import PASS
-from mfcat.t_subcategory import e_object, e_power
+from mfcat.t_subcategory import e_object, e_power, gamma, lambda_
 from mfcat.tensor_products import (
+    _doubled_kronecker,
     check_syzygy_identity,
     mult_tensor,
     mult_tensor_morph_left,
@@ -17,7 +18,7 @@ from mfcat.tensor_products import (
     yoshino_tensor,
 )
 
-from support import random_mf1_morphism, random_valid_mf
+from support import naive_kronecker, random_matrix, random_mf1_morphism, random_valid_mf
 
 
 def mf_1x1(entry: str, potential: str) -> MatrixFactorization:
@@ -218,3 +219,36 @@ def test_syzygy_inequalities_on_random_asymmetric_pairs():
         y = random_valid_mf(rng, rng.randint(1, 3), asymmetric=True)
         assert mult_tensor(x, y) != mult_tensor(x.syzygy(), y.syzygy())
         assert mult_tensor(x.syzygy(), y) != mult_tensor(x, y.syzygy())
+
+
+def test_doubled_kronecker_matches_naive_oracle():
+    rng = random.Random(74)
+    eye2, eye3 = PolyMatrix.identity(2), PolyMatrix.identity(3)
+    wide, tall = lambda_(e_power(2)).alpha, gamma(e_power(2)).alpha
+    cases = [
+        (eye2, random_matrix(rng, 2, 3)),
+        (random_matrix(rng, 3, 2), eye3),
+        (wide, tall),
+        (tall, wide),
+        (wide, random_matrix(rng, 2, 2)),
+        (eye3, tall),
+        (PolyMatrix.zeros(2, 2), random_matrix(rng, 1, 3)),
+    ]
+    for _ in range(40):
+        shapes = [rng.randint(1, 3) for _ in range(4)]
+        cases.append(
+            (random_matrix(rng, *shapes[:2], 2), random_matrix(rng, *shapes[2:], 2))
+        )
+    for a, b in cases:
+        block = naive_kronecker(a, b)
+        assert _doubled_kronecker(a, b) == direct_sum(block, block)
+
+
+def test_doubled_kronecker_of_identities_stays_on_the_identity_backend():
+    # The O(1) e-power path rests on this: I (x) I doubles to a stored identity.
+    for n, m in [(1, 1), (2, 4), (1 << 9, 1 << 9)]:
+        doubled = _doubled_kronecker(PolyMatrix.identity(n), PolyMatrix.identity(m))
+        assert doubled._entries is None
+        assert doubled.rows == 2 * n * m
+    explicit = PolyMatrix(2, 2, {(0, 0): ONE, (1, 1): ONE})
+    assert _doubled_kronecker(explicit, PolyMatrix.identity(3))._entries is None
