@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .errors import AssociativityMismatchError
 from .factorizations import MatrixFactorization, MfMorphism, random_mf1
 from .matrices import PolyMatrix
 from .polynomials import Polynomial, random_polynomial
@@ -577,7 +578,8 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
 
     left_obj = mult_tensor(mult_tensor(e, a), b)
     right_obj = mult_tensor(e, mult_tensor(a, b))
-    assert left_obj == right_obj  # leftmost factor is e
+    if left_obj != right_obj:  # the leftmost factor is e
+        raise AssociativityMismatchError("(e (x) a) (x) b != e (x) (a (x) b)")
     m = left_obj.phi
     commutes = witness @ m == m @ witness
 

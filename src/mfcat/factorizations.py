@@ -206,12 +206,9 @@ def _elementary_step(rng: random.Random, n: int) -> tuple[PolyMatrix, PolyMatrix
         j = rng.randrange(n)
         while j == i:
             j = rng.randrange(n)
-        entries = dict(eye)
-        del entries[(i, i)]
-        del entries[(j, j)]
-        entries[(i, j)] = ONE
-        entries[(j, i)] = ONE
-        swap = PolyMatrix(n, n, entries)
+        images = list(range(n))
+        images[i], images[j] = j, i
+        swap = PolyMatrix.permutation(images)
         return swap, swap
     # scale a row by -1 (the only rational units stable under inversion
     # without leaving integer matrices are +-1)

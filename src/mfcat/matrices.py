@@ -1,10 +1,17 @@
 """Rectangular matrices of polynomials, stored sparsely.
 
-Only nonzero entries are kept, and identity matrices get a dedicated O(1)
-backend.  Large matrices occur in the check suites exclusively as identities,
-zero-padded identity blocks and permutations, so the sparse form keeps exact
-arithmetic affordable at sizes a dense row-major layout could not reach.
-Equality is entry-wise exact polynomial equality regardless of backend.
+Every (1,0)-matrix with at most one 1 per row and per column (identities,
+zero matrices, partial identities, permutations) is stored as a *column
+map*: for each column, the row of its 1 or ``None``.  The identity's map is
+``range(n)``, so identities of any side cost O(1).  Every other matrix is a
+dict of its nonzero entries.  The constructor picks the backend, so the
+choice is canonical: the sub-permutation tests are O(1), and matrices on
+different backends are unequal.  Products, Kronecker products and
+transposes of maps are index arithmetic; a map times a dict matrix
+relabels the dict's rows or columns, as each entry of the product has at
+most one term.  Large matrices occur in the check suites exclusively as
+maps, which keeps exact arithmetic affordable at sizes a dense layout could
+not reach.
 
 Values are immutable; all operations are pure and thread-safe.
 
@@ -40,6 +47,7 @@ MAX_SIDE = 1 << 20
 MAX_PRINT_ENTRIES = 1 << 22
 
 EntryLike = Polynomial | int | Fraction | str
+ColumnMap = Sequence[int | None]
 
 
 def _guard(rows: int, cols: int) -> None:
@@ -61,40 +69,73 @@ def _coerce_entry(value) -> Polynomial:
     raise TypeError(f"cannot use {value!r} as a matrix entry")
 
 
+def _checked_map(rows: int, cols: int, column_rows: ColumnMap) -> ColumnMap:
+    """``column_rows`` checked (length, range, no row used twice) and in
+    canonical form: ``range(cols)`` for the identity, a tuple otherwise."""
+    column_rows = tuple(column_rows)
+    used = [r for r in column_rows if r is not None]
+    if len(column_rows) != cols:
+        raise DimensionMismatchError(
+            f"column map of length {len(column_rows)} for {cols} columns"
+        )
+    if used and not 0 <= min(used) <= max(used) < rows:
+        raise DimensionMismatchError(f"column map has a row outside 0..{rows - 1}")
+    if len(set(used)) != len(used):
+        raise DimensionMismatchError("column map uses a row twice")
+    if rows == cols == len(used) and column_rows == tuple(range(cols)):
+        return range(cols)
+    return column_rows
+
+
 class PolyMatrix:
-    """An immutable rows x cols matrix of :class:`Polynomial` entries."""
+    """An immutable rows x cols matrix of :class:`Polynomial` entries.
 
-    __slots__ = ("rows", "cols", "_entries", "_idcache")
+    ``entries`` maps ``(row, col)`` to a polynomial, or is a column map (a
+    tuple, list or range): for each column, the row of its 1 or ``None``.
+    Either way it is checked, and the matrix is stored on its canonical
+    backend.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], Polynomial] | None):
+    __slots__ = ("rows", "cols", "_entries", "_map")
+
+    def __init__(
+        self, rows: int, cols: int, entries: Mapping[tuple[int, int], Polynomial] | ColumnMap
+    ):
         _guard(rows, cols)
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            # identity backend
-            if rows != cols:
-                raise DimensionMismatchError("identity matrix must be square")
-            self._entries = None
-            self._idcache = True
+        self._entries = None
+        if (type(entries) is range and rows == cols == entries.stop
+                and entries.start == 0 and entries.step == 1):
+            self._map = entries  # the identity, valid as it stands
+            return
+        if isinstance(entries, (tuple, list, range)):
+            self._map = _checked_map(rows, cols, entries)
             return
         cleaned: dict[tuple[int, int], Polynomial] = {}
+        ones = True
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
             if not value.is_zero():
                 cleaned[(i, j)] = value
-        self._entries = cleaned
-        self._idcache = None
+                ones = ones and value.is_one()
+        if ones and len({i for i, _ in cleaned}) == len({j for _, j in cleaned}) == len(cleaned):
+            row_of = {j: i for i, j in cleaned}
+            self._map = _checked_map(rows, cols, [row_of.get(j) for j in range(cols)])
+        else:
+            self._entries = cleaned
+            self._map = None
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(n, n, None)
+        return PolyMatrix(n, n, range(n))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix(rows, cols, {})
+        return PolyMatrix(rows, cols, (None,) * cols)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[EntryLike]]) -> "PolyMatrix":
@@ -115,25 +156,25 @@ class PolyMatrix:
         n = len(images)
         if sorted(images) != list(range(n)):
             raise DimensionMismatchError("not a permutation of 0..n-1")
-        return PolyMatrix(n, n, {(images[k], k): ONE for k in range(n)})
+        return PolyMatrix(n, n, images)
 
     # -- access ---------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Polynomial:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        if self._entries is None:
-            return ONE if i == j else ZERO
+        if self._map is not None:
+            return ONE if self._map[j] == i else ZERO
         return self._entries.get((i, j), ZERO)
 
     def items(self) -> Iterator[tuple[int, int, Polynomial]]:
         """Iterate the nonzero entries as ``(row, col, value)``."""
-        if self._entries is None:
-            return ((i, i, ONE) for i in range(self.rows))
+        if self._map is not None:
+            return ((i, j, ONE) for j, i in enumerate(self._map) if i is not None)
         return ((i, j, p) for (i, j), p in self._entries.items())
 
     def nnz(self) -> int:
-        return self.rows if self._entries is None else len(self._entries)
+        return len(self._entries) if self._map is None else self.cols - self._map.count(None)
 
     def to_rows(self) -> list[list[Polynomial]]:
         """Dense row-major form (intended for small matrices and printing)."""
@@ -145,39 +186,17 @@ class PolyMatrix:
     # -- structure tests ------------------------------------------------------
 
     def is_identity(self) -> bool:
-        if self._idcache is None:
-            result = (
-                self.rows == self.cols
-                and len(self._entries) == self.rows
-                and all(i == j and p.is_one() for (i, j), p in self._entries.items())
-            )
-            self._idcache = result
-        return self._idcache
+        return type(self._map) is range
 
     def is_zero_matrix(self) -> bool:
-        return self._entries is not None and not self._entries
+        return self._map is not None and self._map.count(None) == self.cols
 
     def is_sub_permutation01(self) -> bool:
         """Entries in {0,1} with at most one 1 per row and per column."""
-        if self._entries is None:
-            return True
-        seen_rows: set[int] = set()
-        seen_cols: set[int] = set()
-        for (i, j), p in self._entries.items():
-            if not p.is_one():
-                return False
-            if i in seen_rows or j in seen_cols:
-                return False
-            seen_rows.add(i)
-            seen_cols.add(j)
-        return True
+        return self._map is not None
 
     def is_permutation_matrix(self) -> bool:
-        return (
-            self.rows == self.cols
-            and self.nnz() == self.rows
-            and self.is_sub_permutation01()
-        )
+        return self.rows == self.cols and self._map is not None and None not in self._map
 
     # -- algebra --------------------------------------------------------------
 
@@ -192,6 +211,22 @@ class PolyMatrix:
             return other
         if other.is_identity():
             return self
+        left, right = self._map, other._map
+        if left is not None and right is not None:
+            return PolyMatrix(
+                self.rows, other.cols, [None if k is None else left[k] for k in right]
+            )
+        if left is not None:  # row k of other moves to row left[k]
+            return PolyMatrix(self.rows, other.cols, {
+                (i, j): p for (k, j), p in other._entries.items()
+                if (i := left[k]) is not None
+            })
+        if right is not None:  # column k of self moves to the column j with right[j] == k
+            column_of = {k: j for j, k in enumerate(right)}
+            return PolyMatrix(self.rows, other.cols, {
+                (i, column_of[k]): p for (i, k), p in self._entries.items()
+                if k in column_of
+            })
         by_row: dict[int, list[tuple[int, Polynomial]]] = {}
         for k, j, p in other.items():
             by_row.setdefault(k, []).append((j, p))
@@ -242,8 +277,11 @@ class PolyMatrix:
         return self + (-other)
 
     def transpose(self) -> "PolyMatrix":
-        if self._entries is None:
+        if self.is_identity():
             return self
+        if self._map is not None:
+            column_of = {i: j for j, i in enumerate(self._map)}
+            return PolyMatrix(self.cols, self.rows, [column_of.get(i) for i in range(self.rows)])
         return PolyMatrix(
             self.cols, self.rows, {(j, i): p for i, j, p in self.items()}
         )
@@ -255,13 +293,12 @@ class PolyMatrix:
             return True
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        if self._entries is None:
-            return other.is_identity()
-        if other._entries is None:
-            return self.is_identity()
-        return self._entries == other._entries
+        # Each matrix has one canonical backend, so mixed backends differ.
+        return (
+            (self.rows, self.cols) == (other.rows, other.cols)
+            and self._map == other._map
+            and self._entries == other._entries
+        )
 
     __hash__ = None  # mutable-free but unhashable; compare by content
 
@@ -269,7 +306,7 @@ class PolyMatrix:
         return matrix_literal(self)
 
     def __repr__(self) -> str:
-        if self._entries is None:
+        if self.is_identity():
             return f"PolyMatrix.identity({self.rows})"
         if self.rows * self.cols > 400:
             return f"<PolyMatrix {self.rows}x{self.cols}, {self.nnz()} nonzero>"
@@ -285,11 +322,22 @@ def kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     _guard(a.rows * b.rows, a.cols * b.cols)
     if a.is_identity() and b.is_identity():
         return PolyMatrix.identity(a.rows * b.rows)
+    if a.is_sub_permutation01() and b.is_sub_permutation01():
+        return _map_kronecker(a, b)
     entries: dict[tuple[int, int], Polynomial] = {}
     for i, j, p in a.items():
         for k, l, q in b.items():
             entries[(i * b.rows + k, j * b.cols + l)] = p * q
     return PolyMatrix(a.rows * b.rows, a.cols * b.cols, entries)
+
+
+def _map_kronecker(a: PolyMatrix, b: PolyMatrix, copies: int = 1) -> PolyMatrix:
+    """I_copies (x) (a (x) b) for two column maps, by index arithmetic alone."""
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    block = [None if i is None or k is None else i * b.rows + k for i in a._map for k in b._map]
+    return PolyMatrix(copies * rows, copies * cols, [
+        None if r is None else c * rows + r for c in range(copies) for r in block
+    ])
 
 
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -19,7 +19,9 @@ e-powers, since the ambient category uses them too):
 ``lambda_(a) o gamma(a)`` is the identity, the reverse composite is not:
 the unitors are retractions, not isomorphisms.  These three maps and the
 connecting morphisms all have partial identities as components (ones on the
-leading diagonal, zeros elsewhere), built by one helper.
+leading diagonal, zeros elsewhere), built by one helper as column maps: the
+matrix layer stores every such (1,0)-matrix by the row of each column's 1,
+so products and tensors of T-morphisms are index arithmetic.
 """
 
 from __future__ import annotations
@@ -73,9 +75,7 @@ def is_t_morphism(m: MfMorphism) -> bool:
 
 def _partial_identity(rows: int, cols: int) -> PolyMatrix:
     """Ones on the leading diagonal: (I, 0) if wide, (I, 0)^t if tall, else I."""
-    if rows == cols:
-        return PolyMatrix.identity(rows)
-    return PolyMatrix(rows, cols, {(k, k): ONE for k in range(min(rows, cols))})
+    return PolyMatrix(rows, cols, (*range(min(rows, cols)), *(None,) * (cols - rows)))
 
 
 def connecting_morphism(m: int, p: int) -> MfMorphism:
@@ -165,8 +165,7 @@ def find_permutation_witness(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     leftover_tgt = sorted(set(range(a.rows)) - set(images.values()))
     for src, tgt in zip(leftover_src, leftover_tgt):
         images[src] = tgt
-    witness = PolyMatrix(
-        a.rows, a.rows, {(images[k], k): ONE for k in range(a.rows)}
-    )
-    assert witness @ a == b  # guaranteed by construction
+    witness = PolyMatrix.permutation([images[k] for k in range(a.rows)])
+    if witness @ a != b:  # guaranteed by construction
+        raise NotEquivalentError("the constructed witness does not carry a onto b")
     return witness

@@ -28,7 +28,7 @@ identifying variables (in particular for potential 1) is a supported use.
 from __future__ import annotations
 
 from .factorizations import MatrixFactorization, MfMorphism
-from .matrices import PolyMatrix, _guard, block2x2, kronecker
+from .matrices import PolyMatrix, _guard, _map_kronecker, block2x2, kronecker
 from .reporting import FAIL, PASS, CheckReport
 
 
@@ -38,6 +38,8 @@ def _doubled_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     _guard(rows, cols)  # an oversized a (x) b is reported at its own size
     if a.is_identity() and b.is_identity():
         return PolyMatrix.identity(2 * rows)
+    if a.is_sub_permutation01() and b.is_sub_permutation01():
+        return _map_kronecker(a, b, 2)
     entries = {}
     for i, j, p in a.items():
         for k, l, q in b.items():

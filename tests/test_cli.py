@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -421,6 +422,35 @@ def test_structured_suite_output_matches_pinned_report(capsys):
     )
     assert code == 1
     assert out.encode("utf-8") == expected
+
+
+def test_structured_suite_with_a_random_pool_matches_pinned_report(capsys):
+    # A larger random MF(1) pool than the maxpow-2 fixtures: its swap and
+    # scale steps and the rpm and rearrangement witnesses are 0/1 matrices
+    # multiplied with general ones, so this pins those products byte for byte.
+    fixture = DATA / "suite_all_maxpow3_samples10_seed1_structured.json"
+    code, out, _ = run_cli(
+        capsys, "suite", "all", "--maxpow", "3", "--samples", "10", "--seed", "1",
+        "--format", "structured",
+    )
+    assert code == 1
+    assert out.encode("utf-8") == fixture.read_bytes()
+
+
+def test_suite_output_is_unchanged_under_python_O():
+    # -O strips assert statements, so no check may rest on one.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "mfcat", "suite", "all", "--maxpow", "2",
+         "--samples", "3", "--seed", "0"],
+        capture_output=True,
+        env=env,
+    )
+    assert result.returncode == 1
+    assert result.stderr == b""
+    assert result.stdout == (DATA / "suite_all_maxpow2_samples3_seed0.txt").read_bytes()
 
 
 def test_suite_maxpow_guard(capsys):

@@ -13,9 +13,10 @@ from mfcat.matrices import (
     parse_matrix,
     vstack,
 )
-from mfcat.polynomials import Polynomial, parse_polynomial
+from mfcat.polynomials import ONE, ZERO, Polynomial, parse_polynomial
+from mfcat.tensor_products import _doubled_kronecker
 
-from support import naive_kronecker, naive_mat_mul, random_matrix
+from support import naive_kronecker, naive_mat_mul, random_matrix, random_sub_permutation
 
 
 def test_mat_mul_intro_example():
@@ -254,3 +255,195 @@ def test_entry_access_bounds():
     assert a.entry(0, 1).is_zero()
     with pytest.raises(IndexError):
         a.entry(2, 0)
+
+
+# ---------------------------------------------------------------------------
+# the sub-permutation (column map) backend against dense oracles
+
+
+def _operands(rng, rows, cols):
+    """Matrices of one shape on both backends: zero, sub-permutation and
+    general, plus (when square) the identity as a range and as an explicit
+    tuple, and a permutation."""
+    out = [
+        PolyMatrix.zeros(rows, cols),
+        random_sub_permutation(rng, rows, cols),
+        random_matrix(rng, rows, cols),
+    ]
+    if rows == cols:
+        images = list(range(rows))
+        rng.shuffle(images)
+        out += [
+            PolyMatrix.identity(rows),
+            PolyMatrix(rows, rows, tuple(range(rows))),
+            PolyMatrix.permutation(images),
+        ]
+    return out
+
+
+def _dense(m):
+    """Dense rows read through ``entry``, not through ``items``."""
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _dense_facts(rows):
+    """What every structure test should answer, computed from dense rows."""
+    nonzero = [(i, j) for i, row in enumerate(rows) for j, p in enumerate(row) if not p.is_zero()]
+    square = len(rows) == len(rows[0])
+    sub = all(rows[i][j].is_one() for i, j in nonzero) and (
+        len({i for i, _ in nonzero}) == len({j for _, j in nonzero}) == len(nonzero)
+    )
+    return {
+        "nnz": len(nonzero),
+        "is_identity": square and sub and nonzero == [(k, k) for k in range(len(rows))],
+        "is_zero_matrix": not nonzero,
+        "is_sub_permutation01": sub,
+        "is_permutation_matrix": square and sub and len(nonzero) == len(rows),
+    }
+
+
+def _facts(m):
+    return {
+        "nnz": m.nnz(),
+        "is_identity": m.is_identity(),
+        "is_zero_matrix": m.is_zero_matrix(),
+        "is_sub_permutation01": m.is_sub_permutation01(),
+        "is_permutation_matrix": m.is_permutation_matrix(),
+    }
+
+
+def test_matmul_matches_naive_on_every_backend_pair():
+    rng = random.Random(101)
+    pairs = set()
+    for _ in range(40):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        for a in _operands(rng, n, k):
+            for b in _operands(rng, k, m):
+                expected = naive_mat_mul(a, b)
+                product = a @ b
+                assert product.to_rows() == expected.to_rows()
+                assert product == expected and expected == product
+                pairs.add((a.is_sub_permutation01(), b.is_sub_permutation01()))
+    assert pairs == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_kronecker_and_doubled_kronecker_match_naive_on_every_backend_pair():
+    rng = random.Random(102)
+    pairs = set()
+    for _ in range(25):
+        r1, c1, r2, c2 = (rng.randint(1, 3) for _ in range(4))
+        for a in _operands(rng, r1, c1):
+            for b in _operands(rng, r2, c2):
+                block = naive_kronecker(a, b).to_rows()
+                zeros = [ZERO] * (c1 * c2)
+                doubled = [row + zeros for row in block] + [zeros + row for row in block]
+                assert kronecker(a, b).to_rows() == block
+                assert kronecker(a, b) == PolyMatrix.from_rows(block)
+                assert _doubled_kronecker(a, b).to_rows() == doubled
+                assert _doubled_kronecker(a, b) == PolyMatrix.from_rows(doubled)
+                pairs.add((a.is_sub_permutation01(), b.is_sub_permutation01()))
+    assert pairs == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_structure_tests_access_and_transpose_match_a_dense_oracle():
+    rng = random.Random(103)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        operands = _operands(rng, rows, cols)
+        for m in operands:
+            dense = _dense(m)
+            assert _facts(m) == _dense_facts(dense)
+            assert sorted((i, j) for i, j, _ in m.items()) == [
+                (i, j) for i in range(rows) for j in range(cols) if not dense[i][j].is_zero()
+            ]
+            assert all(dense[i][j] == p for i, j, p in m.items())
+            assert m.to_rows() == dense
+            transposed = m.transpose()
+            assert transposed.to_rows() == [list(column) for column in zip(*dense)]
+            assert _facts(transposed) == _dense_facts(_dense(transposed))
+            assert transposed.transpose() == m
+        for a in operands:
+            for b in operands:
+                assert (a == b) == (_dense(a) == _dense(b))
+
+
+def _random_column_map(rng, rows, cols):
+    k = rng.randint(0, min(rows, cols))
+    column_rows = [None] * cols
+    for r, c in zip(rng.sample(range(rows), k), rng.sample(range(cols), k)):
+        column_rows[c] = r
+    return column_rows
+
+
+def test_every_sub_permutation_is_stored_as_a_column_map():
+    # The backend is canonical: a 0/1 sub-permutation built from entries or
+    # from dense rows equals the map-built matrix and answers alike.
+    rng = random.Random(104)
+    cases = [[None] * 3, [0, 1, 2], [2, 0, 1], [0, 1]]
+    shapes = [(2, 3), (3, 3), (3, 3), (4, 2)]
+    for _ in range(60):
+        shapes.append((rng.randint(1, 5), rng.randint(1, 5)))
+        cases.append(_random_column_map(rng, *shapes[-1]))
+    for (rows, cols), column_rows in zip(shapes, cases):
+        by_map = PolyMatrix(rows, cols, column_rows)
+        dense = [[ONE if column_rows[j] == i else ZERO for j in range(cols)] for i in range(rows)]
+        by_entries = PolyMatrix(
+            rows, cols, {(r, c): ONE for c, r in enumerate(column_rows) if r is not None}
+        )
+        for m in (by_entries, PolyMatrix.from_rows(dense)):
+            assert m == by_map and by_map == m
+            assert _facts(m) == _facts(by_map) == _dense_facts(dense)
+            assert m.is_sub_permutation01()
+    for rows, cols in [(1, 1), (2, 3), (4, 1)]:
+        zero = PolyMatrix.zeros(rows, cols)
+        for m in (PolyMatrix(rows, cols, {}), PolyMatrix(rows, cols, [None] * cols)):
+            assert m == zero and zero == m
+            assert _facts(m) == _facts(zero)
+    eye = PolyMatrix.identity(4)
+    for m in (PolyMatrix(4, 4, (0, 1, 2, 3)), PolyMatrix(4, 4, {(k, k): ONE for k in range(4)})):
+        assert m == eye and eye == m
+        assert m.is_identity() and _facts(m) == _facts(eye)
+    # entries outside {0, 1} keep the entry backend
+    scaled = PolyMatrix(2, 2, {(0, 0): ONE, (1, 1): Polynomial.constant(-1)})
+    assert not scaled.is_sub_permutation01() and scaled != eye
+
+
+@pytest.mark.parametrize(
+    "rows, cols, column_rows, message",
+    [
+        (2, 2, (0,), "column map of length 1 for 2 columns"),
+        (2, 2, range(3), "column map of length 3 for 2 columns"),
+        (2, 3, (0, 1), "column map of length 2 for 3 columns"),
+        (2, 2, (0, 2), "column map has a row outside 0..1"),
+        (2, 3, range(3), "column map has a row outside 0..1"),
+        (3, 2, (-1, 0), "column map has a row outside 0..2"),
+        (3, 2, (1, 1), "column map uses a row twice"),
+        (3, 3, (None, 2, 2), "column map uses a row twice"),
+    ],
+)
+def test_bad_column_maps_are_rejected(rows, cols, column_rows, message):
+    with pytest.raises(DimensionMismatchError) as info:
+        PolyMatrix(rows, cols, column_rows)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("images", [[0, 0], [1, 2], [0, 2, 1, 4], [-1, 0]])
+def test_permutation_rejects_non_permutations(images):
+    with pytest.raises(DimensionMismatchError, match=r"^not a permutation of 0\.\.n-1$"):
+        PolyMatrix.permutation(images)
+
+
+def test_map_kronecker_past_the_guard_raises_like_the_entry_path():
+    side = MAX_SIDE // 2 + 1
+    on_map = PolyMatrix(side, 1, (0,))
+    on_entries = PolyMatrix(side, 1, {(0, 0): parse_polynomial("x")})
+    swap = PolyMatrix.permutation([1, 0])
+    assert on_map.is_sub_permutation01() and not on_entries.is_sub_permutation01()
+    for build in (kronecker, _doubled_kronecker):
+        messages = []
+        for a in (on_map, on_entries):
+            with pytest.raises(SizeGuardError) as info:
+                build(a, swap)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert f"result size {2 * side}x2 exceeds the guard" in messages[0]

@@ -120,7 +120,7 @@ def test_is_identity_agrees_with_comparing_to_the_identity_morphism():
         eye_entries = PolyMatrix(n, n, {(k, k): Polynomial.one() for k in range(n)})
         morphisms += [
             obj.identity_morphism(),
-            MfMorphism(obj, obj, eye_entries, eye_entries),  # not the O(1) backend
+            MfMorphism(obj, obj, eye_entries, eye_entries),  # from entries; stored as range(n)
             lambda_(obj).compose(gamma(obj)),
             gamma(obj).compose(lambda_(obj)),
             l_iso(obj),

@@ -245,10 +245,12 @@ def test_doubled_kronecker_matches_naive_oracle():
 
 
 def test_doubled_kronecker_of_identities_stays_on_the_identity_backend():
-    # The O(1) e-power path rests on this: I (x) I doubles to a stored identity.
+    # The O(1) e-power path rests on this: I (x) I doubles to an identity
+    # stored as the column map range(n).
     for n, m in [(1, 1), (2, 4), (1 << 9, 1 << 9)]:
         doubled = _doubled_kronecker(PolyMatrix.identity(n), PolyMatrix.identity(m))
-        assert doubled._entries is None
+        assert doubled.is_identity() and doubled._map == range(2 * n * m)
         assert doubled.rows == 2 * n * m
     explicit = PolyMatrix(2, 2, {(0, 0): ONE, (1, 1): ONE})
-    assert _doubled_kronecker(explicit, PolyMatrix.identity(3))._entries is None
+    doubled = _doubled_kronecker(explicit, PolyMatrix.identity(3))
+    assert doubled.is_identity() and doubled._map == range(12)
