@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import AssociativityMismatchError
+from .errors import AssociativityMismatchError, MfcatError
 from .factorizations import MatrixFactorization, MfMorphism, random_mf1
 from .matrices import PolyMatrix
 from .polynomials import Polynomial, random_polynomial
@@ -163,8 +163,6 @@ def _semiunit_rearrangement(
     check_id: str,
     top_edge: MfMorphism,
     direct_edge: MfMorphism,
-    top_target: MatrixFactorization,
-    direct_target: MatrixFactorization,
 ) -> CheckReport:
     """Shared body of diagrams (2) and (3).
 
@@ -177,11 +175,11 @@ def _semiunit_rearrangement(
     """
     try:
         witness = find_permutation_witness(top_edge.alpha, direct_edge.alpha)
-    except Exception as exc:
+    except MfcatError as exc:
         return CheckReport(check_id, FAIL, f"no permutation witness: {exc}")
     try:
-        forward = MfMorphism(top_target, direct_target, witness, witness)
-    except Exception as exc:
+        forward = MfMorphism(top_edge.target, direct_edge.target, witness, witness)
+    except MfcatError as exc:
         return CheckReport(
             check_id,
             FAIL,
@@ -208,11 +206,7 @@ def check_semiunit_diagram2(
     top = mult_tensor_morph_left(gamma(a), b)
     direct = gamma(ab)
     return _semiunit_rearrangement(
-        f"semiunit-diagram2[{_label(a)},{_label(b)}]",
-        top,
-        direct,
-        top.target,
-        direct.target,
+        f"semiunit-diagram2[{_label(a)},{_label(b)}]", top, direct
     )
 
 
@@ -224,11 +218,7 @@ def check_semiunit_diagram3(
     top = mult_tensor_morph_right(a, gamma(b))
     direct = gamma(ab)
     return _semiunit_rearrangement(
-        f"semiunit-diagram3[{_label(a)},{_label(b)}]",
-        top,
-        direct,
-        top.target,
-        direct.target,
+        f"semiunit-diagram3[{_label(a)},{_label(b)}]", top, direct
     )
 
 
@@ -287,7 +277,7 @@ def _ax2_single(a: MatrixFactorization, b: MatrixFactorization) -> CheckReport:
         return CheckReport(check_id, FAIL, "Ax.2 held unexpectedly")
     try:
         witness = find_permutation_witness(lhs.alpha, rhs.alpha)
-    except Exception as exc:
+    except MfcatError as exc:
         return CheckReport(
             check_id, FAIL, f"sides differ but are not row-permutation equivalent: {exc}"
         )
@@ -586,7 +576,7 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
     morphism_rejected = False
     try:
         MfMorphism(left_obj, right_obj, witness, witness)
-    except Exception:
+    except MfcatError:
         morphism_rejected = True
 
     confirmed = rearrangement_ok and not commutes and morphism_rejected

@@ -13,6 +13,10 @@ most one term.  Large matrices occur in the check suites exclusively as
 maps, which keeps exact arithmetic affordable at sizes a dense layout could
 not reach.
 
+:func:`kronecker` is the one Kronecker product of the library: with
+``copies`` it builds I_copies (x) (a (x) b), so the doubled blocks of the
+multiplicative tensor product come from the same code as a plain a (x) b.
+
 Values are immutable; all operations are pure and thread-safe.
 
 A size guard rejects results beyond ``MAX_SIDE`` per dimension: tensor
@@ -70,18 +74,25 @@ def _coerce_entry(value) -> Polynomial:
 
 
 def _checked_map(rows: int, cols: int, column_rows: ColumnMap) -> ColumnMap:
-    """``column_rows`` checked (length, range, no row used twice) and in
-    canonical form: ``range(cols)`` for the identity, a tuple otherwise."""
+    """``column_rows`` checked (length; each entry ``None`` or an int row in
+    range, no row used twice) and in canonical form: ``range(cols)`` for the
+    identity, a tuple otherwise."""
     column_rows = tuple(column_rows)
-    used = [r for r in column_rows if r is not None]
     if len(column_rows) != cols:
         raise DimensionMismatchError(
             f"column map of length {len(column_rows)} for {cols} columns"
         )
-    if used and not 0 <= min(used) <= max(used) < rows:
-        raise DimensionMismatchError(f"column map has a row outside 0..{rows - 1}")
-    if len(set(used)) != len(used):
-        raise DimensionMismatchError("column map uses a row twice")
+    used = set()
+    for r in column_rows:
+        if r is None:
+            continue
+        if type(r) is not int:
+            raise DimensionMismatchError(f"column map entry {r!r} is not a row index")
+        if not 0 <= r < rows:
+            raise DimensionMismatchError(f"column map has a row outside 0..{rows - 1}")
+        if r in used:
+            raise DimensionMismatchError("column map uses a row twice")
+        used.add(r)
     if rows == cols == len(used) and column_rows == tuple(range(cols)):
         return range(cols)
     return column_rows
@@ -154,7 +165,7 @@ class PolyMatrix:
     def permutation(images: Sequence[int]) -> "PolyMatrix":
         """The permutation matrix P with P[images[k], k] = 1."""
         n = len(images)
-        if sorted(images) != list(range(n)):
+        if None in images or sorted(images) != list(range(n)):
             raise DimensionMismatchError("not a permutation of 0..n-1")
         return PolyMatrix(n, n, images)
 
@@ -317,22 +328,27 @@ class PolyMatrix:
 # block constructions
 
 
-def kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Kronecker product: each entry a_ij replaced by the block a_ij * b."""
-    _guard(a.rows * b.rows, a.cols * b.cols)
+def kronecker(a: PolyMatrix, b: PolyMatrix, copies: int = 1) -> PolyMatrix:
+    """I_copies (x) (a (x) b): the Kronecker product, each entry a_ij replaced
+    by the block a_ij * b, repeated ``copies`` times down the diagonal.  Each
+    entry product is computed once and stored at every copy."""
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    _guard(rows, cols)  # an oversized a (x) b is reported at its own size
     if a.is_identity() and b.is_identity():
-        return PolyMatrix.identity(a.rows * b.rows)
+        return PolyMatrix.identity(copies * rows)
     if a.is_sub_permutation01() and b.is_sub_permutation01():
-        return _map_kronecker(a, b)
+        return _map_kronecker(a, b, copies)
     entries: dict[tuple[int, int], Polynomial] = {}
     for i, j, p in a.items():
         for k, l, q in b.items():
-            entries[(i * b.rows + k, j * b.cols + l)] = p * q
-    return PolyMatrix(a.rows * b.rows, a.cols * b.cols, entries)
+            r, c, pq = i * b.rows + k, j * b.cols + l, p * q
+            for n in range(copies):
+                entries[(n * rows + r, n * cols + c)] = pq
+    return PolyMatrix(copies * rows, copies * cols, entries)
 
 
-def _map_kronecker(a: PolyMatrix, b: PolyMatrix, copies: int = 1) -> PolyMatrix:
-    """I_copies (x) (a (x) b) for two column maps, by index arithmetic alone."""
+def _map_kronecker(a: PolyMatrix, b: PolyMatrix, copies: int) -> PolyMatrix:
+    """:func:`kronecker` of two column maps, by index arithmetic alone."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
     block = [None if i is None or k is None else i * b.rows + k for i in a._map for k in b._map]
     return PolyMatrix(copies * rows, copies * cols, [

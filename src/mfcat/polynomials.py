@@ -110,11 +110,11 @@ class Polynomial:
 
     @staticmethod
     def zero() -> "Polynomial":
-        return _ZERO
+        return ZERO
 
     @staticmethod
     def one() -> "Polynomial":
-        return _ONE
+        return ONE
 
     @staticmethod
     def constant(value: int | Fraction) -> "Polynomial":
@@ -125,7 +125,7 @@ class Polynomial:
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         if exponent == 0:
-            return _ONE
+            return ONE
         return Polynomial({((name, exponent),): 1})
 
     # -- queries -------------------------------------------------------------
@@ -210,7 +210,7 @@ class Polynomial:
             return NotImplemented
         lhs_terms, rhs_terms = self._terms, rhs._terms
         if not lhs_terms or not rhs_terms:
-            return _ZERO
+            return ZERO
         if rhs_terms == _ONE_TERMS:
             return self
         if lhs_terms == _ONE_TERMS:
@@ -233,7 +233,7 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         # Repeated squaring: one product per bit of the exponent, plus one
         # per set bit.
-        result, square = _ONE, self
+        result, square = ONE, self
         while exponent:
             if exponent & 1:
                 result = result * square
@@ -286,12 +286,9 @@ def _make(terms: dict[Monomial, Coefficient]) -> Polynomial:
     return p
 
 
-_ZERO = _make({})
-_ONE = _make({(): 1})
-_ONE_TERMS = _ONE._terms
-
-ZERO = _ZERO
-ONE = _ONE
+ZERO = _make({})
+ONE = _make({(): 1})
+_ONE_TERMS = ONE._terms
 
 
 # ---------------------------------------------------------------------------

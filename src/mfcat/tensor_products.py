@@ -13,8 +13,9 @@ potentials:
 
       ( (phi (x) phi') (+) (phi (x) phi') , (psi (x) psi') (+) (psi (x) psi') )
 
-  Each doubled block I_2 (x) (a (x) b) is built in one pass, every entry
-  product computed once and stored at both block positions.
+  Each doubled block I_2 (x) (a (x) b) is one call of the matrix layer's
+  single Kronecker product, ``kronecker(a, b, 2)``: every entry product is
+  computed once and stored at both block positions.
 
 The multiplicative product also acts on morphisms (one-sided whiskering and a
 full pairing), making it a bifunctor; those three constructions are validated
@@ -28,24 +29,8 @@ identifying variables (in particular for potential 1) is a supported use.
 from __future__ import annotations
 
 from .factorizations import MatrixFactorization, MfMorphism
-from .matrices import PolyMatrix, _guard, _map_kronecker, block2x2, kronecker
+from .matrices import PolyMatrix, block2x2, kronecker
 from .reporting import FAIL, PASS, CheckReport
-
-
-def _doubled_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """I_2 (x) (a (x) b), i.e. (a (x) b) (+) (a (x) b), each product computed once."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    _guard(rows, cols)  # an oversized a (x) b is reported at its own size
-    if a.is_identity() and b.is_identity():
-        return PolyMatrix.identity(2 * rows)
-    if a.is_sub_permutation01() and b.is_sub_permutation01():
-        return _map_kronecker(a, b, 2)
-    entries = {}
-    for i, j, p in a.items():
-        for k, l, q in b.items():
-            r, c = i * b.rows + k, j * b.cols + l
-            entries[(r, c)] = entries[(rows + r, cols + c)] = p * q
-    return PolyMatrix(2 * rows, 2 * cols, entries)
 
 
 def yoshino_tensor(
@@ -54,17 +39,19 @@ def yoshino_tensor(
     """The additive tensor product, a validated factorization of f + g."""
     eye_n = PolyMatrix.identity(x.size)
     eye_m = PolyMatrix.identity(y.size)
+    phi_block = kronecker(x.phi, eye_m)
+    psi_block = kronecker(x.psi, eye_m)
     first = block2x2(
-        kronecker(x.phi, eye_m),
+        phi_block,
         kronecker(eye_n, y.phi),
         kronecker(eye_n, -y.psi),
-        kronecker(x.psi, eye_m),
+        psi_block,
     )
     second = block2x2(
-        kronecker(x.psi, eye_m),
+        psi_block,
         kronecker(eye_n, -y.phi),
         kronecker(eye_n, y.psi),
-        kronecker(x.phi, eye_m),
+        phi_block,
     )
     return MatrixFactorization(first, second, x.potential + y.potential)
 
@@ -74,8 +61,8 @@ def mult_tensor(
 ) -> MatrixFactorization:
     """The multiplicative tensor product, a validated factorization of f*g."""
     return MatrixFactorization(
-        _doubled_kronecker(x.phi, y.phi),
-        _doubled_kronecker(x.psi, y.psi),
+        kronecker(x.phi, y.phi, 2),
+        kronecker(x.psi, y.psi, 2),
         x.potential * y.potential,
     )
 
@@ -86,8 +73,8 @@ def mult_tensor_morph_left(z: MfMorphism, y: MatrixFactorization) -> MfMorphism:
     return MfMorphism(
         mult_tensor(z.source, y),
         mult_tensor(z.target, y),
-        _doubled_kronecker(z.alpha, eye),
-        _doubled_kronecker(z.beta, eye),
+        kronecker(z.alpha, eye, 2),
+        kronecker(z.beta, eye, 2),
     )
 
 
@@ -97,8 +84,8 @@ def mult_tensor_morph_right(x: MatrixFactorization, z: MfMorphism) -> MfMorphism
     return MfMorphism(
         mult_tensor(x, z.source),
         mult_tensor(x, z.target),
-        _doubled_kronecker(eye, z.alpha),
-        _doubled_kronecker(eye, z.beta),
+        kronecker(eye, z.alpha, 2),
+        kronecker(eye, z.beta, 2),
     )
 
 
@@ -107,8 +94,8 @@ def mult_tensor_morph_pair(zf: MfMorphism, zg: MfMorphism) -> MfMorphism:
     return MfMorphism(
         mult_tensor(zf.source, zg.source),
         mult_tensor(zf.target, zg.target),
-        _doubled_kronecker(zf.alpha, zg.alpha),
-        _doubled_kronecker(zf.beta, zg.beta),
+        kronecker(zf.alpha, zg.alpha, 2),
+        kronecker(zf.beta, zg.beta, 2),
     )
 
 

@@ -2,7 +2,10 @@ import itertools
 import random
 from dataclasses import replace
 
+import pytest
+
 from mfcat.axiom_suites import (
+    _ax2_single,
     check_pentagon,
     check_right_monoidal_axioms,
     check_right_pseudo_monoidal,
@@ -347,3 +350,28 @@ def test_triangle_witnesses_match_pairing_with_identity_morphisms():
         rhs = mult_tensor_morph_pair(a.identity_morphism(), lambda_(b))
         names = dict(check_triangle(a, b).witnesses)
         assert names["lhs_alpha"] == lhs.alpha and names["rhs_alpha"] == rhs.alpha
+
+
+def _raise_type_error(*args):
+    raise TypeError("a programming error, not a library failure")
+
+
+@pytest.mark.parametrize(
+    "target, run",
+    [
+        ("find_permutation_witness", lambda: check_semiunit_diagram2(e_object(), e_object())),
+        ("MfMorphism", lambda: check_semiunit_diagram2(e_object(), e_object())),
+        ("find_permutation_witness", lambda: _ax2_single(e_object(), e_object())),
+        ("MfMorphism", counterexample_mf1_not_semiunital),
+    ],
+    ids=["diagram2-witness", "diagram2-morphism", "ax2-witness", "mf1-counterexample-morphism"],
+)
+def test_programming_errors_are_not_verdicts(monkeypatch, target, run):
+    # Only library errors (MfcatError) become FAIL or XFAIL-OK verdicts; a
+    # TypeError inside a check propagates instead of reading as "no witness"
+    # or "morphism rejected".
+    import mfcat.axiom_suites as suites
+
+    monkeypatch.setattr(suites, target, _raise_type_error)
+    with pytest.raises(TypeError, match="a programming error"):
+        run()

@@ -14,7 +14,6 @@ from mfcat.matrices import (
     vstack,
 )
 from mfcat.polynomials import ONE, ZERO, Polynomial, parse_polynomial
-from mfcat.tensor_products import _doubled_kronecker
 
 from support import naive_kronecker, naive_mat_mul, random_matrix, random_sub_permutation
 
@@ -335,12 +334,17 @@ def test_kronecker_and_doubled_kronecker_match_naive_on_every_backend_pair():
         for a in _operands(rng, r1, c1):
             for b in _operands(rng, r2, c2):
                 block = naive_kronecker(a, b).to_rows()
-                zeros = [ZERO] * (c1 * c2)
-                doubled = [row + zeros for row in block] + [zeros + row for row in block]
                 assert kronecker(a, b).to_rows() == block
                 assert kronecker(a, b) == PolyMatrix.from_rows(block)
-                assert _doubled_kronecker(a, b).to_rows() == doubled
-                assert _doubled_kronecker(a, b) == PolyMatrix.from_rows(doubled)
+                for copies in (2, 3):
+                    # I_copies (x) (a (x) b): copy n sits at block row and column n
+                    repeated = [
+                        [ZERO] * (c1 * c2 * n) + row + [ZERO] * (c1 * c2 * (copies - 1 - n))
+                        for n in range(copies)
+                        for row in block
+                    ]
+                    assert kronecker(a, b, copies).to_rows() == repeated
+                    assert kronecker(a, b, copies) == PolyMatrix.from_rows(repeated)
                 pairs.add((a.is_sub_permutation01(), b.is_sub_permutation01()))
     assert pairs == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -419,6 +423,9 @@ def test_every_sub_permutation_is_stored_as_a_column_map():
         (3, 2, (-1, 0), "column map has a row outside 0..2"),
         (3, 2, (1, 1), "column map uses a row twice"),
         (3, 3, (None, 2, 2), "column map uses a row twice"),
+        (2, 2, [1.0, 0.0], "column map entry 1.0 is not a row index"),
+        (2, 2, [True, False], "column map entry True is not a row index"),
+        (1, 1, ["x"], "column map entry 'x' is not a row index"),
     ],
 )
 def test_bad_column_maps_are_rejected(rows, cols, column_rows, message):
@@ -427,7 +434,7 @@ def test_bad_column_maps_are_rejected(rows, cols, column_rows, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("images", [[0, 0], [1, 2], [0, 2, 1, 4], [-1, 0]])
+@pytest.mark.parametrize("images", [[0, 0], [1, 2], [0, 2, 1, 4], [-1, 0], [None, 0]])
 def test_permutation_rejects_non_permutations(images):
     with pytest.raises(DimensionMismatchError, match=r"^not a permutation of 0\.\.n-1$"):
         PolyMatrix.permutation(images)
@@ -439,11 +446,11 @@ def test_map_kronecker_past_the_guard_raises_like_the_entry_path():
     on_entries = PolyMatrix(side, 1, {(0, 0): parse_polynomial("x")})
     swap = PolyMatrix.permutation([1, 0])
     assert on_map.is_sub_permutation01() and not on_entries.is_sub_permutation01()
-    for build in (kronecker, _doubled_kronecker):
+    for copies in (1, 2):
         messages = []
         for a in (on_map, on_entries):
             with pytest.raises(SizeGuardError) as info:
-                build(a, swap)
+                kronecker(a, swap, copies)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert f"result size {2 * side}x2 exceeds the guard" in messages[0]

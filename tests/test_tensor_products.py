@@ -4,12 +4,11 @@ import pytest
 
 from mfcat.errors import SizeGuardError
 from mfcat.factorizations import MatrixFactorization, random_mf1
-from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
+from mfcat.matrices import PolyMatrix, direct_sum, kronecker, parse_matrix
 from mfcat.polynomials import ONE, Polynomial, parse_polynomial
 from mfcat.reporting import PASS
 from mfcat.t_subcategory import e_object, e_power, gamma, lambda_
 from mfcat.tensor_products import (
-    _doubled_kronecker,
     check_syzygy_identity,
     mult_tensor,
     mult_tensor_morph_left,
@@ -241,16 +240,16 @@ def test_doubled_kronecker_matches_naive_oracle():
         )
     for a, b in cases:
         block = naive_kronecker(a, b)
-        assert _doubled_kronecker(a, b) == direct_sum(block, block)
+        assert kronecker(a, b, 2) == direct_sum(block, block)
 
 
 def test_doubled_kronecker_of_identities_stays_on_the_identity_backend():
     # The O(1) e-power path rests on this: I (x) I doubles to an identity
     # stored as the column map range(n).
     for n, m in [(1, 1), (2, 4), (1 << 9, 1 << 9)]:
-        doubled = _doubled_kronecker(PolyMatrix.identity(n), PolyMatrix.identity(m))
+        doubled = kronecker(PolyMatrix.identity(n), PolyMatrix.identity(m), 2)
         assert doubled.is_identity() and doubled._map == range(2 * n * m)
         assert doubled.rows == 2 * n * m
     explicit = PolyMatrix(2, 2, {(0, 0): ONE, (1, 1): ONE})
-    doubled = _doubled_kronecker(explicit, PolyMatrix.identity(3))
+    doubled = kronecker(explicit, PolyMatrix.identity(3), 2)
     assert doubled.is_identity() and doubled._map == range(12)
