@@ -17,11 +17,11 @@ e-powers, since the ambient category uses them too):
 * ``l_iso(a)``:  e (x) a -> a (x) e, the identity pair, its own inverse.
 
 ``lambda_(a) o gamma(a)`` is the identity, the reverse composite is not:
-the unitors are retractions, not isomorphisms.  These three maps and the
-connecting morphisms all have partial identities as components (ones on the
-leading diagonal, zeros elsewhere), built by one helper as column maps: the
-matrix layer stores every such (1,0)-matrix by the row of each column's 1,
-so products and tensors of T-morphisms are index arithmetic.
+the unitors are retractions, not isomorphisms.  These maps, the connecting
+morphisms and the associator are all pairs (d, d) of partial identities (ones
+on the leading diagonal), built by one constructor as column maps, so
+products and tensors of T-morphisms are index arithmetic; all share one e,
+validated once.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from .polynomials import ONE
 from .tensor_products import mult_tensor
 
 
+_E = MatrixFactorization(PolyMatrix.identity(1), PolyMatrix.identity(1), ONE)
+
+
 def e_object() -> MatrixFactorization:
     """The trivial size-1 factorization e = ([1], [1]) of potential 1."""
-    eye = PolyMatrix.identity(1)
-    return MatrixFactorization(eye, eye, ONE)
+    return _E
 
 
 def e_power(n: int) -> MatrixFactorization:
@@ -73,9 +75,11 @@ def is_t_morphism(m: MfMorphism) -> bool:
     )
 
 
-def _partial_identity(rows: int, cols: int) -> PolyMatrix:
-    """Ones on the leading diagonal: (I, 0) if wide, (I, 0)^t if tall, else I."""
-    return PolyMatrix(rows, cols, (*range(min(rows, cols)), *(None,) * (cols - rows)))
+def _canonical_pair(source: MatrixFactorization, target: MatrixFactorization) -> MfMorphism:
+    """(d, d), d of shape target.size x source.size: (I, 0), (I, 0)^t or I."""
+    rows, cols = target.size, source.size
+    delta = PolyMatrix(rows, cols, (*range(min(rows, cols)), *(None,) * (cols - rows)))
+    return MfMorphism(source, target, delta, delta)
 
 
 def connecting_morphism(m: int, p: int) -> MfMorphism:
@@ -85,35 +89,27 @@ def connecting_morphism(m: int, p: int) -> MfMorphism:
     identity permutation when m = p (any permutation works; the identity is
     the deterministic choice).
     """
-    source, target = e_power(m), e_power(p)
-    delta = _partial_identity(target.size, source.size)
-    return MfMorphism(source, target, delta, delta)
+    return _canonical_pair(e_power(m), e_power(p))
 
 
 def gamma(a: MatrixFactorization) -> MfMorphism:
     """The canonical map a -> e (x) a, both components (I, 0)^t."""
-    delta = _partial_identity(2 * a.size, a.size)
-    return MfMorphism(a, mult_tensor(e_object(), a), delta, delta)
+    return _canonical_pair(a, mult_tensor(_E, a))
 
 
 def lambda_(a: MatrixFactorization) -> MfMorphism:
     """The left unitor e (x) a -> a, both components (I, 0); a retraction."""
-    delta = _partial_identity(a.size, 2 * a.size)
-    return MfMorphism(mult_tensor(e_object(), a), a, delta, delta)
+    return _canonical_pair(mult_tensor(_E, a), a)
 
 
 def rho(a: MatrixFactorization) -> MfMorphism:
     """The right unitor a (x) e -> a; the same value as ``lambda_(a)``."""
-    delta = _partial_identity(a.size, 2 * a.size)
-    return MfMorphism(mult_tensor(a, e_object()), a, delta, delta)
+    return _canonical_pair(mult_tensor(a, _E), a)
 
 
 def l_iso(a: MatrixFactorization) -> MfMorphism:
     """The identity-pair isomorphism e (x) a -> a (x) e (equal objects)."""
-    eye = PolyMatrix.identity(2 * a.size)
-    return MfMorphism(
-        mult_tensor(e_object(), a), mult_tensor(a, e_object()), eye, eye
-    )
+    return _canonical_pair(mult_tensor(_E, a), mult_tensor(a, _E))
 
 
 def associator(
@@ -135,8 +131,7 @@ def associator(
             "the two bracketings are not literally equal "
             f"(leftmost factor of size {a.size} is not Kronecker-central)"
         )
-    eye = PolyMatrix.identity(left.size)
-    return MfMorphism(left, right, eye, eye)
+    return _canonical_pair(left, right)
 
 
 def find_permutation_witness(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

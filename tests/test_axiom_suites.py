@@ -341,6 +341,23 @@ def test_rpm5_fails_when_the_unitor_sources_differ(monkeypatch):
     assert report.detail.startswith("rho == lambda value-wise on 0/1 objects")
 
 
+def test_pseudo_monoidal_check_builds_each_objects_unitors_once(monkeypatch):
+    # The pool is e plus 50 samples; rpm-1 to rpm-5 and the naturality
+    # trials read one gamma per object, and rpm-6/rpm-7 never call gamma.
+    import mfcat.axiom_suites as suites
+
+    real = suites.gamma
+    calls = []
+
+    def counting_gamma(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(suites, "gamma", counting_gamma)
+    check_right_pseudo_monoidal(50, 0)
+    assert len(calls) == 51
+
+
 def test_triangle_witnesses_match_pairing_with_identity_morphisms():
     # The triangle whiskers directly; pairing with identity morphisms gives
     # the same Kronecker products.

@@ -411,6 +411,16 @@ def test_epower_sweeps_to_maxpow4_match_pinned_report(capsys):
     assert out.encode("utf-8") == expected
 
 
+def test_default_suite_matches_pinned_report(capsys):
+    # The defaults (maxpow 5, 50 samples, seed 0) are the only configuration
+    # with a 51-object pool and 28 size >= 2 triangles in rpm-7.
+    expected = (DATA / "suite_all_maxpow5_samples50_seed0.txt").read_bytes()
+    code, out, err = run_cli(capsys, "suite", "all")
+    assert code == 1
+    assert err == ""
+    assert out.encode("utf-8") == expected
+
+
 def test_structured_suite_output_matches_pinned_report(capsys):
     # Only the structured form renders the witnesses (the rearrangement's P,
     # the triangle's lhs_alpha/rhs_alpha), so this pins them byte for byte.

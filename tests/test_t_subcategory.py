@@ -44,6 +44,12 @@ def test_e_power_ladder():
         assert e_power(n + 1) == mult_tensor(e_object(), e_power(n))
 
 
+def test_e_object_is_one_shared_value():
+    assert e_object() is e_object()
+    eye = PolyMatrix.identity(1)
+    assert e_object() == MatrixFactorization(eye, eye, Polynomial.one())
+
+
 def test_is_e_power():
     assert is_e_power(e_power(4))
     assert not is_e_power(UNIMODULAR_PAIR)
@@ -104,12 +110,14 @@ def test_unitor_matrices_match_stacked_construction():
     for n in range(1, 5):
         column = vstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
         row = hstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+        square = vstack(row, hstack(PolyMatrix.zeros(n, n), PolyMatrix.identity(n)))
         for obj in (random_mf1(n, n, 3), MatrixFactorization(
             PolyMatrix.identity(n), PolyMatrix.identity(n), Polynomial.one()
         )):
             assert gamma(obj).alpha == column and gamma(obj).beta == column
             assert lambda_(obj).alpha == row and lambda_(obj).beta == row
             assert rho(obj).alpha == row and rho(obj).beta == row
+            assert l_iso(obj).alpha == square and l_iso(obj).beta == square
 
 
 def test_is_identity_agrees_with_comparing_to_the_identity_morphism():
