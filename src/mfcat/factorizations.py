@@ -43,20 +43,15 @@ def _first_mismatch(product: PolyMatrix, potential: Polynomial) -> tuple[int, in
     from ``potential * I``, or None."""
     if product.is_identity():
         return None if potential.is_one() else (0, 0)
-    first = None
-    matching = set()  # k with product[k, k] == potential
+    matching, wrong = set(), []  # rows k with product[k, k] == potential; wrong entries
     for i, j, p in product.items():
         if i == j and p == potential:
             matching.add(i)
-        elif first is None or (i, j) < first:
-            first = (i, j)
-    if not potential.is_zero():
-        # A diagonal entry missing from the sparse product is zero, so wrong;
-        # only rows up to the first stored mismatch can hold an earlier one.
-        for k in range(product.rows if first is None else first[0] + 1):
-            if k not in matching:
-                return (k, k) if first is None else min(first, (k, k))
-    return first
+        else:
+            wrong.append((i, j))
+    if not potential.is_zero():  # a diagonal entry missing from the sparse product is zero
+        wrong += ((k, k) for k in range(product.rows) if k not in matching)
+    return min(wrong, default=None)
 
 
 class MatrixFactorization:
@@ -189,34 +184,23 @@ def _elementary_step(rng: random.Random, n: int) -> tuple[PolyMatrix, PolyMatrix
     """A random elementary unimodular matrix together with its inverse."""
     kinds = ["transvection", "swap", "scale"] if n > 1 else ["scale"]
     kind = rng.choice(kinds)
+    i = rng.randrange(n)
     eye = {(k, k): ONE for k in range(n)}
-    if kind == "transvection":
-        i = rng.randrange(n)
+    if kind == "scale":
+        # scale a row by -1 (the only rational units stable under inversion
+        # without leaving integer matrices are +-1)
+        scale = PolyMatrix(n, n, {**eye, (i, i): Polynomial.constant(-1)})
+        return scale, scale
+    j = rng.randrange(n)
+    while j == i:
         j = rng.randrange(n)
-        while j == i:
-            j = rng.randrange(n)
-        p = random_polynomial(rng, max_degree=2, max_terms=2, allow_zero=False)
-        fwd = dict(eye)
-        fwd[(i, j)] = p
-        inv = dict(eye)
-        inv[(i, j)] = -p
-        return PolyMatrix(n, n, fwd), PolyMatrix(n, n, inv)
     if kind == "swap":
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        while j == i:
-            j = rng.randrange(n)
         images = list(range(n))
         images[i], images[j] = j, i
         swap = PolyMatrix.permutation(images)
         return swap, swap
-    # scale a row by -1 (the only rational units stable under inversion
-    # without leaving integer matrices are +-1)
-    i = rng.randrange(n)
-    entries = dict(eye)
-    entries[(i, i)] = Polynomial.constant(-1)
-    scale = PolyMatrix(n, n, entries)
-    return scale, scale
+    p = random_polynomial(rng, max_degree=2, max_terms=2, allow_zero=False)
+    return PolyMatrix(n, n, {**eye, (i, j): p}), PolyMatrix(n, n, {**eye, (i, j): -p})
 
 
 def random_mf1(seed: int, size: int, num_elementary: int) -> MatrixFactorization:

@@ -6,12 +6,14 @@ map*: for each column, the row of its 1 or ``None``.  The identity's map is
 ``range(n)``, so identities of any side cost O(1).  Every other matrix is a
 dict of its nonzero entries.  The constructor picks the backend, so the
 choice is canonical: the sub-permutation tests are O(1), and matrices on
-different backends are unequal.  Products, Kronecker products and
-transposes of maps are index arithmetic; a map times a dict matrix
-relabels the dict's rows or columns, as each entry of the product has at
-most one term.  Large matrices occur in the check suites exclusively as
-maps, which keeps exact arithmetic affordable at sizes a dense layout could
-not reach.
+different backends are unequal.  Index arithmetic is used only where both
+operands are maps (products and Kronecker products), and an identity factor
+of a product is passed through.  Every other operation (a map times a dict
+matrix, transposes, scalar multiples, block placement) takes the one entry
+path, where multiplying by 1 and adding to 0 cost no arithmetic.  The
+measured traffic sets this line; see the README design note.  Large matrices occur in the check suites exclusively
+as maps, which keeps exact arithmetic affordable at sizes a dense layout
+could not reach.
 
 :func:`kronecker` is the one Kronecker product of the library: with
 ``copies`` it builds I_copies (x) (a (x) b), so the doubled blocks of the
@@ -227,17 +229,6 @@ class PolyMatrix:
             return PolyMatrix(
                 self.rows, other.cols, [None if k is None else left[k] for k in right]
             )
-        if left is not None:  # row k of other moves to row left[k]
-            return PolyMatrix(self.rows, other.cols, {
-                (i, j): p for (k, j), p in other._entries.items()
-                if (i := left[k]) is not None
-            })
-        if right is not None:  # column k of self moves to the column j with right[j] == k
-            column_of = {k: j for j, k in enumerate(right)}
-            return PolyMatrix(self.rows, other.cols, {
-                (i, column_of[k]): p for (i, k), p in self._entries.items()
-                if k in column_of
-            })
         by_row: dict[int, list[tuple[int, Polynomial]]] = {}
         for k, j, p in other.items():
             by_row.setdefault(k, []).append((j, p))
@@ -254,10 +245,6 @@ class PolyMatrix:
 
     def __mul__(self, scalar) -> "PolyMatrix":
         p = _coerce_entry(scalar)
-        if p.is_one():
-            return self
-        if p.is_zero():
-            return PolyMatrix.zeros(self.rows, self.cols)
         return PolyMatrix(
             self.rows, self.cols, {(i, j): p * q for i, j, q in self.items()}
         )
@@ -288,11 +275,6 @@ class PolyMatrix:
         return self + (-other)
 
     def transpose(self) -> "PolyMatrix":
-        if self.is_identity():
-            return self
-        if self._map is not None:
-            column_of = {i: j for j, i in enumerate(self._map)}
-            return PolyMatrix(self.cols, self.rows, [column_of.get(i) for i in range(self.rows)])
         return PolyMatrix(
             self.cols, self.rows, {(j, i): p for i, j, p in self.items()}
         )
@@ -356,35 +338,31 @@ def _map_kronecker(a: PolyMatrix, b: PolyMatrix, copies: int) -> PolyMatrix:
     ])
 
 
+def _placed(rows: int, cols: int, blocks) -> PolyMatrix:
+    """The rows x cols matrix holding each block of ``blocks``, given as
+    ``(r, c, block)`` with its top-left entry at (r, c); each entry is
+    copied once."""
+    _guard(rows, cols)
+    return PolyMatrix(rows, cols, {
+        (r + i, c + j): p for r, c, block in blocks for i, j, p in block.items()
+    })
+
+
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Block-diagonal [[a, 0], [0, b]]."""
-    _guard(a.rows + b.rows, a.cols + b.cols)
-    if a.is_identity() and b.is_identity():
-        return PolyMatrix.identity(a.rows + b.rows)
-    entries = {(i, j): p for i, j, p in a.items()}
-    for i, j, p in b.items():
-        entries[(a.rows + i, a.cols + j)] = p
-    return PolyMatrix(a.rows + b.rows, a.cols + b.cols, entries)
+    return _placed(a.rows + b.rows, a.cols + b.cols, [(0, 0, a), (a.rows, a.cols, b)])
 
 
 def hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.rows != b.rows:
         raise DimensionMismatchError("row count mismatch in hstack")
-    _guard(a.rows, a.cols + b.cols)
-    entries = {(i, j): p for i, j, p in a.items()}
-    for i, j, p in b.items():
-        entries[(i, a.cols + j)] = p
-    return PolyMatrix(a.rows, a.cols + b.cols, entries)
+    return _placed(a.rows, a.cols + b.cols, [(0, 0, a), (0, a.cols, b)])
 
 
 def vstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.cols != b.cols:
         raise DimensionMismatchError("column count mismatch in vstack")
-    _guard(a.rows + b.rows, a.cols)
-    entries = {(i, j): p for i, j, p in a.items()}
-    for i, j, p in b.items():
-        entries[(a.rows + i, j)] = p
-    return PolyMatrix(a.rows + b.rows, a.cols, entries)
+    return _placed(a.rows + b.rows, a.cols, [(0, 0, a), (a.rows, 0, b)])
 
 
 def block2x2(
@@ -393,7 +371,20 @@ def block2x2(
     bottom_left: PolyMatrix,
     bottom_right: PolyMatrix,
 ) -> PolyMatrix:
-    return vstack(hstack(top_left, top_right), hstack(bottom_left, bottom_right))
+    """``vstack(hstack(top_left, top_right), hstack(bottom_left, bottom_right))``,
+    with its errors in the same order, built in one pass."""
+    for left, right in ((top_left, top_right), (bottom_left, bottom_right)):
+        if left.rows != right.rows:
+            raise DimensionMismatchError("row count mismatch in hstack")
+        _guard(left.rows, left.cols + right.cols)
+    cols = top_left.cols + top_right.cols
+    if cols != bottom_left.cols + bottom_right.cols:
+        raise DimensionMismatchError("column count mismatch in vstack")
+    rows = top_left.rows
+    return _placed(rows + bottom_left.rows, cols, [
+        (0, 0, top_left), (0, top_left.cols, top_right),
+        (rows, 0, bottom_left), (rows, bottom_left.cols, bottom_right),
+    ])
 
 
 # ---------------------------------------------------------------------------

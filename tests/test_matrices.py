@@ -6,6 +6,7 @@ from mfcat.errors import DimensionMismatchError, MatrixSyntaxError, SizeGuardErr
 from mfcat.matrices import (
     MAX_SIDE,
     PolyMatrix,
+    block2x2,
     direct_sum,
     hstack,
     kronecker,
@@ -454,3 +455,83 @@ def test_map_kronecker_past_the_guard_raises_like_the_entry_path():
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert f"result size {2 * side}x2 exceeds the guard" in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# block2x2 against a dense oracle
+
+
+def _block_of_kind(rng, kind, rows, cols):
+    """A rows x cols matrix stored as ``kind``: the identity (square only), a
+    column map that is not the identity, or a dict of entries."""
+    if kind == "identity":
+        return PolyMatrix.identity(rows)
+    while True:
+        m = random_sub_permutation(rng, rows, cols) if kind == "map" else random_matrix(rng, rows, cols)
+        if m.is_sub_permutation01() == (kind == "map") and not m.is_identity():
+            return m
+
+
+def _dense_block2x2(tl, tr, bl, br):
+    return [a + b for a, b in zip(tl.to_rows(), tr.to_rows())] + [
+        a + b for a, b in zip(bl.to_rows(), br.to_rows())
+    ]
+
+
+def test_block2x2_matches_a_dense_oracle_on_every_backend_combination():
+    rng = random.Random(105)
+    kinds = ("identity", "map", "dict")
+    combinations = set()
+    for n in (1, 2, 3):
+        for k1 in kinds:
+            for k2 in kinds:
+                for k3 in kinds:
+                    for k4 in kinds:
+                        blocks = [_block_of_kind(rng, k, n, n) for k in (k1, k2, k3, k4)]
+                        out = block2x2(*blocks)
+                        assert out.to_rows() == _dense_block2x2(*blocks)
+                        assert out == PolyMatrix.from_rows(_dense_block2x2(*blocks))
+                        combinations.add((k1, k2, k3, k4))
+    assert len(combinations) == 3 ** 4
+    # blocks need not line up: only the two row sums must agree
+    for _ in range(40):
+        r1, r2, c1, c2, c3 = (rng.randint(1, 3) for _ in range(5))
+        c4 = c1 + c2 - c3
+        if c4 < 1:
+            continue
+        shapes = [(r1, c1), (r1, c2), (r2, c3), (r2, c4)]
+        blocks = [_block_of_kind(rng, rng.choice(kinds[1:]), *shape) for shape in shapes]
+        out = block2x2(*blocks)
+        assert out.to_rows() == _dense_block2x2(*blocks)
+        assert out == vstack(hstack(*blocks[:2]), hstack(*blocks[2:]))
+
+
+@pytest.mark.parametrize(
+    "shapes, message",
+    [
+        ([(2, 2), (3, 2), (2, 2), (2, 2)], "row count mismatch in hstack"),
+        ([(2, 2), (2, 2), (2, 2), (1, 2)], "row count mismatch in hstack"),
+        ([(2, 2), (2, 2), (2, 2), (2, 1)], "column count mismatch in vstack"),
+        # a row mismatch is reported before a column mismatch
+        ([(2, 2), (2, 2), (2, 2), (1, 1)], "row count mismatch in hstack"),
+    ],
+)
+def test_block2x2_shape_errors(shapes, message):
+    blocks = [PolyMatrix.zeros(rows, cols) for rows, cols in shapes]
+    with pytest.raises(DimensionMismatchError) as info:
+        block2x2(*blocks)
+    assert str(info.value) == message
+    with pytest.raises(DimensionMismatchError) as stacked:
+        vstack(hstack(*blocks[:2]), hstack(*blocks[2:]))
+    assert str(stacked.value) == message
+
+
+@pytest.mark.parametrize("shape", [(1, MAX_SIDE // 2 + 1), (MAX_SIDE // 2 + 1, 1)])
+def test_block2x2_past_the_guard_raises_like_the_stacks(shape):
+    block = PolyMatrix.zeros(*shape)
+    messages = []
+    for build in (block2x2, lambda a, b, c, d: vstack(hstack(a, b), hstack(c, d))):
+        with pytest.raises(SizeGuardError) as info:
+            build(block, block, block, block)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
