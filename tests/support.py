@@ -43,7 +43,7 @@ def naive_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         for j in range(b.cols):
             total = Polynomial.zero()
             for k in range(a.cols):
-                total = total + a.entry(i, k) * b.entry(k, j)
+                total = total + naive_mul(a.entry(i, k), b.entry(k, j))
             row.append(total)
         rows.append(row)
     return PolyMatrix.from_rows(rows)
@@ -54,7 +54,7 @@ def naive_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     for i in range(a.rows * b.rows):
         row = []
         for j in range(a.cols * b.cols):
-            row.append(a.entry(i // b.rows, j // b.cols) * b.entry(i % b.rows, j % b.cols))
+            row.append(naive_mul(a.entry(i // b.rows, j // b.cols), b.entry(i % b.rows, j % b.cols)))
         rows.append(row)
     return PolyMatrix.from_rows(rows)
 

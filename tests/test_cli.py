@@ -330,6 +330,36 @@ def test_printed_factorizations_match_pinned_output(capsys):
     assert "".join(chunks).encode("utf-8") == expected
 
 
+def test_cancellation_heavy_fixture_matches_pinned_output(tmp_path, monkeypatch):
+    # phi*psi = psi*phi = I with Fraction entries: nearly every entry sum of
+    # the validating products cancels to zero or comes out integral.  Run in
+    # tmp_path with bare file names: validate, syzygy, both tensor modes with
+    # intro.mf and with itself, and validate of each tensor output.
+    fixture, intro = "unimodular3_fraction.mf", "intro.mf"
+    (tmp_path / fixture).write_bytes((DATA / fixture).read_bytes())
+    (tmp_path / intro).write_bytes((SAMPLES / intro).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        ["validate", fixture],
+        ["validate", "--format", "structured", fixture],
+        ["syzygy", fixture],
+    ]
+    for mode in ("mult", "yoshino"):
+        for first, second in ((fixture, intro), (intro, fixture), (fixture, fixture)):
+            product = f"{mode}_{first[:5]}_{second[:5]}.mf"
+            commands.append(["tensor", "--mode", mode, first, second])
+            commands.append(["tensor", "--mode", mode, first, second, "--output", product])
+            commands.append(["validate", product])
+    chunks = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        chunks.append(f"$ mfcat {' '.join(argv)}\n{out.getvalue()}{err.getvalue()}[exit {code}]\n")
+    expected = (DATA / "unimodular3_fraction_cli.txt").read_bytes()
+    assert "".join(chunks).encode("utf-8") == expected
+
+
 def test_shipped_samples_round_trip(capsys):
     from mfcat.factorizations import factorization_to_text
 

@@ -3,7 +3,8 @@
 ``PolyMatrix`` stores a matrix as a column map (``_map``) or a dict of
 entries (``_entries``), and only :mod:`mfcat.matrices` may read either or
 call its private helpers; the polynomial scanner is shared by
-:mod:`mfcat.polynomials` and the matrix-literal parser alone.  A module
+:mod:`mfcat.polynomials` and the matrix-literal parser alone, and the
+sum-of-products kernel by ``*`` and the matrix product alone.  A module
 that reached past these lines would tie itself to one backend and could
 build values the constructor never checked.  The modules are read as text,
 never imported.
@@ -18,6 +19,7 @@ MATRIX_PRIVATE = re.compile(
     r"\._map\b|\._entries\b|\b(?:_guard|_checked_map|_map_kronecker|_placed)\b"
 )
 PARSER_PRIVATE = re.compile(r"\b(?:_Tokenizer|_parse_sum)\b")
+KERNEL_PRIVATE = re.compile(r"\b_sum_of_products\b")
 
 
 def _uses(pattern):
@@ -43,4 +45,11 @@ def test_polynomial_scanner_stays_in_the_two_parsers():
     uses = _uses(PARSER_PRIVATE)
     assert uses.pop("polynomials.py") == ["_Tokenizer", "_parse_sum"]
     assert uses.pop("matrices.py") == ["_Tokenizer", "_parse_sum"]
+    assert uses == {}
+
+
+def test_sum_of_products_kernel_stays_in_the_two_arithmetic_modules():
+    uses = _uses(KERNEL_PRIVATE)
+    assert uses.pop("polynomials.py") == ["_sum_of_products"]
+    assert uses.pop("matrices.py") == ["_sum_of_products"]
     assert uses == {}

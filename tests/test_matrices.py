@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mfcat.errors import DimensionMismatchError, MatrixSyntaxError, SizeGuardError
 from mfcat.matrices import (
@@ -325,6 +326,63 @@ def test_matmul_matches_naive_on_every_backend_pair():
                 assert product == expected and expected == product
                 pairs.add((a.is_sub_permutation01(), b.is_sub_permutation01()))
     assert pairs == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# Entries come in +/- pairs, so products of these meet p and -p and their
+# entry sums cancel, wholly or in part.
+_SIGNED_ENTRIES = [
+    sign * parse_polynomial(base)
+    for base in ("x", "x + y", "1/2", "x*y - 1", "2/3*x - 3/2*y")
+    for sign in (1, -1)
+]
+_ENTRY = st.sampled_from([ZERO, ONE] + _SIGNED_ENTRIES)
+
+
+@st.composite
+def _dict_matrix(draw, rows, cols):
+    return PolyMatrix.from_rows(
+        [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+@st.composite
+def _map_matrix(draw, rows, cols):
+    used = draw(st.permutations(range(rows)))
+    return PolyMatrix(rows, cols, [
+        used[j] if j < rows and draw(st.booleans()) else None for j in range(cols)
+    ])
+
+
+@st.composite
+def _product_operands(draw):
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    left = draw(st.one_of(_dict_matrix(n, k), _map_matrix(n, k)))
+    return left, draw(_dict_matrix(k, m))
+
+
+@given(_product_operands())
+def test_entry_path_products_match_naive_with_cancelling_entries(operands):
+    a, b = operands
+    expected = naive_mat_mul(a, b)
+    product = a @ b
+    dense = expected.to_rows()
+    assert product == expected and product.to_rows() == dense
+    assert product.nnz() == sum(not p.is_zero() for row in dense for p in row)
+
+
+def test_matmul_builds_each_entry_once(monkeypatch):
+    a = parse_matrix("[[x + 1, y, x - y], [2*x, x*y + 1/2, 1], [y - 1, x^2, x + y]]")
+    b = parse_matrix("[[y, 1/2*x + y, 2], [-x - 1, x - 1, y^2], [0, 3, x*y - 1/3]]")
+    assert not a.is_sub_permutation01() and not b.is_sub_permutation01()
+    built = []
+    audit = Polynomial._audit
+    monkeypatch.setattr(Polynomial, "_audit", lambda p: built.append(p) or audit(p))
+    product = a @ b
+    monkeypatch.undo()
+    # (x + 1)y - y(x + 1) cancels: that entry is zero and builds nothing
+    assert product.entry(0, 0).is_zero()
+    assert len(built) == product.nnz() == 8
+    assert product == naive_mat_mul(a, b)
 
 
 def test_kronecker_and_doubled_kronecker_match_naive_on_every_backend_pair():

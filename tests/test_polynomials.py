@@ -11,7 +11,9 @@ from mfcat.errors import (
 )
 from mfcat.polynomials import (
     ONE,
+    ZERO,
     Polynomial,
+    _sum_of_products,
     canonical_string,
     parse_polynomial,
     random_polynomial,
@@ -356,3 +358,51 @@ def test_parsed_and_computed_values_agree():
         _check_stored_form(value)
         assert value == parsed and hash(value) == hash(parsed)
         assert canonical_string(value) == "3/2*x^2 - 4*x*y + 2"
+
+
+# -- the sum-of-products kernel behind * and every matrix product entry -------
+
+
+def _naive_sum_of_products(pairs) -> Polynomial:
+    total = Polynomial.zero()
+    for p, q in pairs:
+        total = total + naive_mul(p, q)
+    return total
+
+
+def test_sum_of_products_of_no_pairs_is_zero():
+    assert _sum_of_products([]) is ZERO
+    assert _sum_of_products(iter(())) is ZERO
+
+
+def test_sum_of_products_drops_terms_that_cancel_across_pairs():
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    # (x + y)x + (x - y)(-x) = 2xy: x^2 cancels across the two pairs
+    partial = _sum_of_products([(x + y, x), (x - y, -x)])
+    _check_stored_form(partial)
+    assert partial == 2 * x * y == _naive_sum_of_products([(x + y, x), (x - y, -x)])
+    # (x + y)(x - y) + y*y - x*x cancels everywhere
+    assert _sum_of_products([(x + y, x - y), (y, y), (-x, x)]) is ZERO
+
+
+def test_sum_of_products_stores_integral_fraction_sums_as_int():
+    x = Polynomial.variable("x")
+    half, third = Polynomial.constant(Fraction(1, 2)), Polynomial.constant(Fraction(1, 3))
+    # 1/2 * 1/2x + 3/4x * 1 = x, and 1/3 * 1/2 + 5/6 * 1 = 1
+    linear = _sum_of_products([(half, half * x), (Fraction(3, 4) * x, ONE)])
+    constant = _sum_of_products([(third, half), (Polynomial.constant(Fraction(5, 6)), ONE)])
+    for result, expected in ((linear, x), (constant, ONE)):
+        _check_stored_form(result)
+        assert result == expected and hash(result) == hash(expected)
+        assert all(type(c) is int for c in result._terms.values())
+
+
+@given(st.lists(st.tuples(_raw_terms, _raw_terms), max_size=4), st.data())
+def test_sum_of_products_matches_a_sum_of_naive_products(raw_pairs, data):
+    pairs = [(Polynomial(a), Polynomial(b)) for a, b in raw_pairs]
+    # p*q meets -p*q for each drawn pair, so whole products cancel too
+    negated = data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    pairs += [(-p, q) for p, q in negated]
+    result = _sum_of_products(pairs)
+    _check_stored_form(result)
+    assert result == _naive_sum_of_products(pairs)
