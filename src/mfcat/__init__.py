@@ -44,7 +44,6 @@ from .factorizations import (
     random_mf1,
 )
 from .tensor_products import (
-    check_syzygy_identity,
     mult_tensor,
     mult_tensor_morph_left,
     mult_tensor_morph_pair,
@@ -71,6 +70,7 @@ from .axiom_suites import (
     check_semiunit_diagram1,
     check_semiunit_diagram2,
     check_semiunit_diagram3,
+    check_syzygy_identity,
     check_triangle,
     counterexample_e_not_pseudo_idempotent,
     counterexample_mf1_not_semiunital,

@@ -1,5 +1,8 @@
 """Executable verdicts for the coherence diagrams, axioms and counterexamples.
 
+The layers below (polynomials up to the T-subcategory) only build values;
+every verdict of the library, the syzygy identity's included, is given here.
+
 Positive checks assert exact matrix equalities and report ``pass``.  Checks
 that encode known negative results (the failing triangle away from e, the
 failing second right-monoidal axiom, the two counterexamples) report the
@@ -32,7 +35,7 @@ import random
 from .errors import AssociativityMismatchError, MfcatError
 from .factorizations import MatrixFactorization, MfMorphism, random_mf1
 from .matrices import PolyMatrix
-from .polynomials import Polynomial, random_polynomial
+from .polynomials import ONE, random_polynomial
 from .reporting import FAIL, PASS, XFAIL_OK, CheckReport
 from .t_subcategory import (
     e_object,
@@ -44,7 +47,6 @@ from .t_subcategory import (
     rho,
 )
 from .tensor_products import (
-    check_syzygy_identity,
     mult_tensor,
     mult_tensor_morph_left,
     mult_tensor_morph_right,
@@ -55,6 +57,7 @@ __all__ = [
     "check_semiunit_diagram1",
     "check_semiunit_diagram2",
     "check_semiunit_diagram3",
+    "check_syzygy_identity",
     "check_triangle",
     "check_right_monoidal_axioms",
     "check_right_pseudo_monoidal",
@@ -505,7 +508,7 @@ def counterexample_e_not_pseudo_idempotent() -> CheckReport:
     ups: list[MfMorphism] = []
     downs: list[MfMorphism] = []
     for rows in ([0, 0], [1, 0], [0, 1]):
-        column = PolyMatrix(2, 1, {(i, 0): Polynomial.one() for i, v in enumerate(rows) if v})
+        column = PolyMatrix(2, 1, {(i, 0): ONE for i, v in enumerate(rows) if v})
         row = column.transpose()
         ups.append(MfMorphism(e, e2, column, column))
         downs.append(MfMorphism(e2, e, row, row))
@@ -558,7 +561,7 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
     a = MatrixFactorization(
         PolyMatrix.from_rows([[4, 3], [1, 1]]),
         PolyMatrix.from_rows([[1, -3], [-1, 4]]),
-        Polynomial.one(),
+        ONE,
     )
     b = e_power(2)
     e = e_object()
@@ -603,6 +606,28 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
         XFAIL_OK if confirmed else FAIL,
         detail,
         witnesses=(("P_prime", witness), ("M", m)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# syzygy identity
+
+
+def check_syzygy_identity(
+    x: MatrixFactorization, y: MatrixFactorization
+) -> CheckReport:
+    """Swap-then-tensor equals tensor-then-swap, as a literal identity."""
+    lhs = mult_tensor(x, y).syzygy()
+    rhs = mult_tensor(x.syzygy(), y.syzygy())
+    equal = lhs == rhs
+    return CheckReport(
+        check_id="syzygy-identity",
+        verdict=PASS if equal else FAIL,
+        detail=(
+            "syzygy(X (x) Y) == syzygy(X) (x) syzygy(Y)"
+            if equal
+            else "syzygy identity violated"
+        ),
     )
 
 

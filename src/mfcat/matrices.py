@@ -20,7 +20,9 @@ check suites only as maps, so exact arithmetic stays affordable at side 2**19.
 ``copies`` it builds I_copies (x) (a (x) b), so the doubled blocks of the
 multiplicative tensor product come from the same code as a plain a (x) b.
 
-Values are immutable; all operations are pure and thread-safe.
+Values are immutable; all operations are pure and thread-safe.  The module
+offers only the arithmetic the library runs: there is no matrix sum, and
+the block constructions are :func:`direct_sum` and :func:`block2x2`.
 
 A size guard rejects results beyond ``MAX_SIDE`` per dimension: tensor
 constructions double sizes, and the guard turns runaway growth into a clear
@@ -255,24 +257,6 @@ class PolyMatrix:
             self.rows, self.cols, {(i, j): -p for i, j, p in self.items()}
         )
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("shape mismatch in matrix addition")
-        out = {(i, j): p for i, j, p in self.items()}
-        for i, j, p in other.items():
-            key = (i, j)
-            total = out.get(key, ZERO) + p
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return PolyMatrix(self.rows, self.cols, out)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(
             self.cols, self.rows, {(j, i): p for i, j, p in self.items()}
@@ -352,26 +336,15 @@ def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return _placed(a.rows + b.rows, a.cols + b.cols, [(0, 0, a), (a.rows, a.cols, b)])
 
 
-def hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if a.rows != b.rows:
-        raise DimensionMismatchError("row count mismatch in hstack")
-    return _placed(a.rows, a.cols + b.cols, [(0, 0, a), (0, a.cols, b)])
-
-
-def vstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if a.cols != b.cols:
-        raise DimensionMismatchError("column count mismatch in vstack")
-    return _placed(a.rows + b.rows, a.cols, [(0, 0, a), (a.rows, 0, b)])
-
-
 def block2x2(
     top_left: PolyMatrix,
     top_right: PolyMatrix,
     bottom_left: PolyMatrix,
     bottom_right: PolyMatrix,
 ) -> PolyMatrix:
-    """``vstack(hstack(top_left, top_right), hstack(bottom_left, bottom_right))``,
-    with its errors in the same order, built in one pass."""
+    """[[top_left, top_right], [bottom_left, bottom_right]], built in one pass.
+    Each row is checked as an "hstack" before the rows are checked as a
+    "vstack", so a row-count mismatch is reported first."""
     for left, right in ((top_left, top_right), (bottom_left, bottom_right)):
         if left.rows != right.rows:
             raise DimensionMismatchError("row count mismatch in hstack")

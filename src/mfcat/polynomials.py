@@ -222,20 +222,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        # Repeated squaring: one product per bit of the exponent, plus one
-        # per set bit.
-        result, square = ONE, self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
-
     # -- equality and printing -----------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -19,8 +19,8 @@ potentials:
 
 The multiplicative product also acts on morphisms (one-sided whiskering and a
 full pairing), making it a bifunctor; those three constructions are validated
-on the nose here.  The syzygy swap distributes over the multiplicative
-product as a literal identity, which :func:`check_syzygy_identity` verifies.
+on the nose here.  This module only builds values: the verdicts on them,
+such as the syzygy identity, come from :mod:`mfcat.axiom_suites`.
 
 Variable disjointness between the two factors is deliberately not enforced;
 identifying variables (in particular for potential 1) is a supported use.
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from .factorizations import MatrixFactorization, MfMorphism
 from .matrices import PolyMatrix, block2x2, kronecker
-from .reporting import FAIL, PASS, CheckReport
 
 
 def yoshino_tensor(
@@ -96,22 +95,4 @@ def mult_tensor_morph_pair(zf: MfMorphism, zg: MfMorphism) -> MfMorphism:
         mult_tensor(zf.target, zg.target),
         kronecker(zf.alpha, zg.alpha, 2),
         kronecker(zf.beta, zg.beta, 2),
-    )
-
-
-def check_syzygy_identity(
-    x: MatrixFactorization, y: MatrixFactorization
-) -> CheckReport:
-    """Swap-then-tensor equals tensor-then-swap, as a literal identity."""
-    lhs = mult_tensor(x, y).syzygy()
-    rhs = mult_tensor(x.syzygy(), y.syzygy())
-    equal = lhs == rhs
-    return CheckReport(
-        check_id="syzygy-identity",
-        verdict=PASS if equal else FAIL,
-        detail=(
-            "syzygy(X (x) Y) == syzygy(X) (x) syzygy(Y)"
-            if equal
-            else "syzygy identity violated"
-        ),
     )

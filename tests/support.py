@@ -59,6 +59,22 @@ def naive_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_rows(rows)
 
 
+def dense_hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """[a, b] from the dense rows of both blocks."""
+    assert a.rows == b.rows
+    return PolyMatrix.from_rows([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())])
+
+
+def dense_vstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """[[a], [b]] from the dense rows of both blocks."""
+    assert a.cols == b.cols
+    return PolyMatrix.from_rows(a.to_rows() + b.to_rows())
+
+
+def dense_block2x2(tl: PolyMatrix, tr: PolyMatrix, bl: PolyMatrix, br: PolyMatrix) -> PolyMatrix:
+    return dense_vstack(dense_hstack(tl, tr), dense_hstack(bl, br))
+
+
 # ---------------------------------------------------------------------------
 # random generators
 

@@ -4,12 +4,14 @@
 entries (``_entries``), and only :mod:`mfcat.matrices` may read either or
 call its private helpers; the polynomial scanner is shared by
 :mod:`mfcat.polynomials` and the matrix-literal parser alone, and the
-sum-of-products kernel by ``*`` and the matrix product alone.  A module
+sum-of-products kernel by ``*`` and the matrix product alone; verdicts
+(:mod:`mfcat.reporting`) by the check layer and the CLI alone.  A module
 that reached past these lines would tie itself to one backend and could
 build values the constructor never checked.  The modules are read as text,
 never imported.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -53,3 +55,24 @@ def test_sum_of_products_kernel_stays_in_the_two_arithmetic_modules():
     assert uses.pop("polynomials.py") == ["_sum_of_products"]
     assert uses.pop("matrices.py") == ["_sum_of_products"]
     assert uses == {}
+
+
+def _imports(path):
+    """Every module, and every ``module.name``, that ``path`` imports, with
+    the package's relative imports spelled absolutely."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["mfcat" if node.level else None, node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_check_layer_and_the_cli_import_reporting():
+    # the layers below the checks build values and give no verdicts;
+    # __init__.py only re-exports the public names
+    importers = {
+        path.name for path in SRC.glob("*.py") if "mfcat.reporting" in set(_imports(path))
+    }
+    assert importers - {"__init__.py"} == {"axiom_suites.py", "cli.py"}

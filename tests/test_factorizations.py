@@ -218,7 +218,9 @@ def test_perturbed_beta_fails_validation():
     tgt = random_mf1(101, 2, 4)
     alpha = PolyMatrix.identity(2)
     beta = tgt.psi @ alpha @ src.phi
-    bad = beta + PolyMatrix.from_rows([[1, 0], [0, 0]])
+    rows = beta.to_rows()
+    rows[0][0] = rows[0][0] + 1
+    bad = PolyMatrix.from_rows(rows)
     with pytest.raises(SquareFailureError):
         MfMorphism(src, tgt, alpha, bad)
 

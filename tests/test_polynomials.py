@@ -270,19 +270,6 @@ def test_total_degree_and_variables():
     assert p.variables() == {"x", "y", "z"}
 
 
-def test_pow_equals_repeated_product():
-    rng = random.Random(4711)
-    for _ in range(20):
-        scale = Fraction(rng.randint(1, 3), rng.randint(1, 4))
-        p = random_polynomial(rng, max_degree=2, max_terms=3) * scale
-        product = Polynomial.one()
-        for n in range(10):
-            assert p ** n == product
-            product = product * p
-    with pytest.raises(ValueError):
-        Polynomial.variable("x") ** -1
-
-
 # -- integral coefficients are stored as int, rationals as Fraction ----------
 
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -330,10 +317,6 @@ def test_mixed_coefficients_match_fraction_oracle(a, b):
         (p - q, _oracle_add(a, negated)),
         (p * q, _oracle_mul(a, b)),
     ]
-    power = {(): Fraction(1)}
-    for n in range(4):
-        cases.append((p ** n, power))
-        power = _oracle_mul(power, a)
     for result, expected in cases:
         _check_stored_form(result)
         assert result.terms == expected
@@ -353,7 +336,7 @@ def test_parsed_and_computed_values_agree():
     parsed = parse_polynomial("3/2*x^2 - 4*x*y + 2")
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
     built = Fraction(3, 2) * x * x - Polynomial.constant(4) * x * y + 2
-    halves = (Fraction(3, 4) * x ** 2 - 2 * x * y + 1) * 2
+    halves = (Fraction(3, 4) * x * x - 2 * x * y + 1) * 2
     for value in (built, halves):
         _check_stored_form(value)
         assert value == parsed and hash(value) == hash(parsed)

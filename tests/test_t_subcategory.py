@@ -4,7 +4,7 @@ import pytest
 
 from mfcat.errors import AssociativityMismatchError, NotEquivalentError
 from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
-from mfcat.matrices import PolyMatrix, direct_sum, hstack, parse_matrix, vstack
+from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
 from mfcat.polynomials import Polynomial
 from mfcat.t_subcategory import (
     associator,
@@ -26,7 +26,13 @@ from mfcat.tensor_products import (
     mult_tensor_morph_right,
 )
 
-from support import random_mf1_morphism, random_sub_permutation, random_t_morphism
+from support import (
+    dense_hstack,
+    dense_vstack,
+    random_mf1_morphism,
+    random_sub_permutation,
+    random_t_morphism,
+)
 
 UNIMODULAR_PAIR = MatrixFactorization(
     parse_matrix("[[4, 3], [1, 1]]"),
@@ -83,15 +89,15 @@ def test_connecting_morphism_cases():
 
 
 def _stacked_connecting_matrix(m: int, p: int) -> PolyMatrix:
-    # the three-way hstack/vstack construction, kept as an oracle
+    # the three-way stacked construction, kept as a dense oracle
     src_size, tgt_size = 1 << (m - 1), 1 << (p - 1)
     if m > p:
-        return hstack(
+        return dense_hstack(
             PolyMatrix.identity(tgt_size),
             PolyMatrix.zeros(tgt_size, src_size - tgt_size),
         )
     if m < p:
-        return vstack(
+        return dense_vstack(
             PolyMatrix.identity(src_size),
             PolyMatrix.zeros(tgt_size - src_size, src_size),
         )
@@ -108,9 +114,9 @@ def test_connecting_morphism_matches_stacked_construction():
 
 def test_unitor_matrices_match_stacked_construction():
     for n in range(1, 5):
-        column = vstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
-        row = hstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
-        square = vstack(row, hstack(PolyMatrix.zeros(n, n), PolyMatrix.identity(n)))
+        column = dense_vstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+        row = dense_hstack(PolyMatrix.identity(n), PolyMatrix.zeros(n, n))
+        square = dense_vstack(row, dense_hstack(PolyMatrix.zeros(n, n), PolyMatrix.identity(n)))
         for obj in (random_mf1(n, n, 3), MatrixFactorization(
             PolyMatrix.identity(n), PolyMatrix.identity(n), Polynomial.one()
         )):

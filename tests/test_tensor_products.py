@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mfcat.axiom_suites import check_syzygy_identity
 from mfcat.errors import SizeGuardError
 from mfcat.factorizations import MatrixFactorization, random_mf1
 from mfcat.matrices import PolyMatrix, direct_sum, kronecker, parse_matrix
@@ -9,7 +10,6 @@ from mfcat.polynomials import ONE, Polynomial, parse_polynomial
 from mfcat.reporting import PASS
 from mfcat.t_subcategory import e_object, e_power, gamma, lambda_
 from mfcat.tensor_products import (
-    check_syzygy_identity,
     mult_tensor,
     mult_tensor_morph_left,
     mult_tensor_morph_pair,
