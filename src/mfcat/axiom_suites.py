@@ -21,7 +21,8 @@ identity morphism between equal objects.  The remaining checks compare the
 non-identity maps (unitors, whiskerings, permutation witnesses) exactly and
 test endomorphisms with ``MfMorphism.is_identity()``.  The e-power sweeps
 build each power once; a pentagon sweep passes when all of its quadruples
-have literally equal vertices.
+have literally equal vertices.  Every report over many instances follows one
+rule, :func:`_all_held`: its verdict holds exactly when all instances held.
 
 Every check is a pure function of its inputs; reports are returned in
 deterministic order.
@@ -67,6 +68,9 @@ __all__ = [
 ]
 
 
+# Starts the diagram (2)/(3) detail when the witness pair fails validation.
+_NOT_A_MORPHISM = "witness pair is not a morphism"
+
 # Appended to a coherence detail when the bracketed objects are not literally
 # equal: every edge is still an identity matrix pair of the common size, but
 # not a morphism between equal objects, so the paths agree as matrices only.
@@ -76,6 +80,16 @@ _MATRIX_LEVEL = " (bracketings differ; compared at matrix level)"
 def _literal_detail(detail: str, vertices: list[MatrixFactorization]) -> str:
     """``detail``, marked matrix-level unless all vertices are literally equal."""
     return detail + ("" if all(v == vertices[0] for v in vertices[1:]) else _MATRIX_LEVEL)
+
+
+def _all_held(
+    check_id: str, held: int, total: int, detail: str, verdict: str = PASS
+) -> CheckReport:
+    """``verdict`` when all ``total`` instances held, FAIL otherwise; ``detail``
+    may name ``{held}`` and ``{total}``."""
+    return CheckReport(
+        check_id, verdict if held == total else FAIL, detail.format(held=held, total=total)
+    )
 
 
 def _label(x: MatrixFactorization) -> str:
@@ -189,7 +203,7 @@ def _semiunit_rearrangement(
         return CheckReport(
             check_id,
             FAIL,
-            f"witness pair is not a morphism: {exc}",
+            f"{_NOT_A_MORPHISM}: {exc}",
             witnesses=(("P", witness),),
         )
     ok = witness.is_permutation_matrix() and forward.compose(top_edge) == direct_edge
@@ -338,14 +352,11 @@ def check_right_monoidal_axioms(maxpow: int) -> list[CheckReport]:
     XFAIL-OK on every pair, (e, e) included; Ax.5 holds.
     """
     powers = [e_power(k) for k in range(1, maxpow + 1)]
-    strict, total = _pentagon_sweep(powers)
-    reports: list[CheckReport] = [
-        CheckReport(
-            f"rm-ax1[maxpow={maxpow}]",
-            PASS if strict == total else FAIL,
-            f"{strict}/{total} e-power quadruples satisfy the pentagon-shaped Ax.1",
-        )
-    ]
+    reports = [_all_held(
+        f"rm-ax1[maxpow={maxpow}]",
+        *_pentagon_sweep(powers),
+        "{held}/{total} e-power quadruples satisfy the pentagon-shaped Ax.1",
+    )]
     for a, b in itertools.product(powers, repeat=2):
         reports += [_ax2_single(a, b), _ax3_single(a, b), _ax4_single(a, b)]
 
@@ -430,63 +441,37 @@ def check_right_pseudo_monoidal(samples: int, seed: int) -> list[CheckReport]:
             lambda_natural += 1
         if whiskered.compose(gamma_src) == gamma_tgt.compose(nu):
             gamma_natural += 1
-    reports.append(
-        CheckReport(
-            "rpm-2-lambda-naturality",
-            PASS if lambda_natural == trials else FAIL,
-            f"{lambda_natural}/{trials} random naturality squares commute exactly",
-        )
-    )
-    reports.append(
-        CheckReport(
-            "rpm-3-gamma-naturality",
-            PASS if gamma_natural == trials else FAIL,
-            f"{gamma_natural}/{trials} random naturality squares commute exactly",
-        )
-    )
+    squares = "{held}/{total} random naturality squares commute exactly"
+    reports.append(_all_held("rpm-2-lambda-naturality", lambda_natural, trials, squares))
+    reports.append(_all_held("rpm-3-gamma-naturality", gamma_natural, trials, squares))
 
-    retraction = sum(1 for _, g, lam, _ in unitors if lam.compose(g).is_identity())
-    reports.append(
-        CheckReport(
-            "rpm-4-lambda-gamma-identity",
-            PASS if retraction == len(pool) else FAIL,
-            f"lambda o gamma == id on {retraction}/{len(pool)} sampled objects",
-        )
-    )
+    retraction = sum(lam.compose(g).is_identity() for _, g, lam, _ in unitors)
+    reports.append(_all_held(
+        "rpm-4-lambda-gamma-identity", retraction, len(pool),
+        "lambda o gamma == id on {held}/{total} sampled objects",
+    ))
 
     # pool[0] is e, so "including at e" is part of the count.  The unitors'
     # components agree by construction; their sources a(x)e and e(x)a must too.
-    rho_matches = sum(1 for _, _, lam, r in unitors if r.source == lam.source and r == lam)
-    reports.append(
-        CheckReport(
-            "rpm-5-rho-equals-lambda",
-            PASS if rho_matches == len(pool) else FAIL,
-            f"rho == lambda value-wise on {rho_matches}/{len(pool)} objects, "
-            "including at e",
-        )
-    )
+    rho_matches = sum(r.source == lam.source and r == lam for _, _, lam, r in unitors)
+    reports.append(_all_held(
+        "rpm-5-rho-equals-lambda", rho_matches, len(pool),
+        "rho == lambda value-wise on {held}/{total} objects, including at e",
+    ))
 
-    triangle_at_e = [check_triangle(e, obj) for obj in pool]
-    at_e_ok = all(r.verdict == PASS for r in triangle_at_e)
-    reports.append(
-        CheckReport(
-            "rpm-6-triangle-at-e",
-            PASS if at_e_ok else FAIL,
-            f"triangle commutes at a=e against {len(pool)} sampled objects",
-        )
-    )
+    at_e = sum(check_triangle(e, obj).verdict == PASS for obj in pool)
+    reports.append(_all_held(
+        "rpm-6-triangle-at-e", at_e, len(pool),
+        "triangle commutes at a=e against {total} sampled objects",
+    ))
 
     larger = [obj for obj in pool if obj.size >= 2]
-    triangle_away = [check_triangle(obj, rng.choice(pool)) for obj in larger]
-    away_confirmed = all(r.verdict == XFAIL_OK for r in triangle_away)
-    reports.append(
-        CheckReport(
-            "rpm-7-triangle-beyond-e",
-            XFAIL_OK if away_confirmed else FAIL,
-            f"triangle fails (confirmed) for all {len(larger)} sampled objects "
-            "of size >= 2",
-        )
-    )
+    away = sum(check_triangle(obj, rng.choice(pool)).verdict == XFAIL_OK for obj in larger)
+    reports.append(_all_held(
+        "rpm-7-triangle-beyond-e", away, len(larger),
+        "triangle fails (confirmed) for all {total} sampled objects of size >= 2",
+        XFAIL_OK,
+    ))
     return reports
 
 
@@ -556,6 +541,8 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
     Predicted: P'M != MP' for the tensor object's first matrix M, so (P', P')
     is no morphism (XFAIL-OK).  Computed: P'M == MP', as the block swap
     sigma (x) I commutes with M = I_4 (x) K, so (P', P') validates (FAIL).
+    Diagram (2)'s own body supplies P' and the verdict on (P', P'); the only
+    arithmetic of this check is P'M against MP'.
     """
     check_id = "counterexample-mf1-not-semiunital"
     a = MatrixFactorization(
@@ -564,49 +551,36 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
         ONE,
     )
     b = e_power(2)
-    e = e_object()
     top = mult_tensor_morph_left(gamma(a), b)
     direct = gamma(mult_tensor(a, b))
-    witness = find_permutation_witness(top.alpha, direct.alpha)
-    rearrangement_ok = witness @ top.alpha == direct.alpha
-
-    left_obj = mult_tensor(mult_tensor(e, a), b)
-    right_obj = mult_tensor(e, mult_tensor(a, b))
-    if left_obj != right_obj:  # the leftmost factor is e
+    if top.target != direct.target:  # the leftmost factor is e
         raise AssociativityMismatchError("(e (x) a) (x) b != e (x) (a (x) b)")
-    m = left_obj.phi
+    # Diagram (2) on (a, b): the witness P' and the verdict on (P', P').
+    rearranged = _semiunit_rearrangement(check_id, top, direct)
+    if not rearranged.witnesses:
+        return CheckReport(check_id, FAIL, f"unexpected outcome: {rearranged.detail}")
+    witness = rearranged.witnesses[0][1]
+    m = top.target.phi
     commutes = witness @ m == m @ witness
 
-    morphism_rejected = False
-    try:
-        MfMorphism(left_obj, right_obj, witness, witness)
-    except MfcatError:
-        morphism_rejected = True
-
-    confirmed = rearrangement_ok and not commutes and morphism_rejected
-    if confirmed:
-        detail = (
+    if rearranged.detail.startswith(_NOT_A_MORPHISM) and not commutes:
+        verdict, detail = XFAIL_OK, (
             "P' rearranges the gamma routes but P'M != MP', so (P',P') fails "
             "morphism validation"
         )
-    elif rearrangement_ok and commutes and not morphism_rejected:
+    elif rearranged.verdict == PASS and commutes:
         # What the arithmetic actually does on this instance: M is the
         # four-fold block replication I_4 (x) K, the canonical witness is the
         # block swap sigma (x) I, and block permutations commute with equal
         # diagonal blocks.  The predicted failure therefore does not occur.
-        detail = (
+        verdict, detail = FAIL, (
             "expected failure did not occur: the canonical witness is the "
             "block swap sigma(x)I, M is the replicated block-diagonal "
             "I_4(x)K, so P'M == MP' and (P',P') is a valid morphism"
         )
     else:
-        detail = "unexpected outcome"
-    return CheckReport(
-        check_id,
-        XFAIL_OK if confirmed else FAIL,
-        detail,
-        witnesses=(("P_prime", witness), ("M", m)),
-    )
+        verdict, detail = FAIL, "unexpected outcome"
+    return CheckReport(check_id, verdict, detail, witnesses=(("P_prime", witness), ("M", m)))
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +626,11 @@ def suite_all(
             check_semiunit_diagram3(a, b),
             check_triangle(a, b),
         ]
-    strict, total = _pentagon_sweep(powers)
-    reports.append(
-        CheckReport(
-            f"pentagon[e-powers,maxpow={maxpow}]",
-            PASS if strict == total else FAIL,
-            f"{strict}/{total} quadruples commute",
-        )
-    )
+    reports.append(_all_held(
+        f"pentagon[e-powers,maxpow={maxpow}]",
+        *_pentagon_sweep(powers),
+        "{held}/{total} quadruples commute",
+    ))
 
     reports.extend(check_right_monoidal_axioms(maxpow))
     reports.extend(check_right_pseudo_monoidal(samples, seed))
@@ -667,20 +638,13 @@ def suite_all(
     reports.append(counterexample_mf1_not_semiunital())
 
     pool = _sample_pool(min(samples, 25), seed + 1)
-    syzygy_ok = 0
     rng = random.Random(seed + 2)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(len(pool))]
-    for x, y in pairs:
-        if check_syzygy_identity(x, y).verdict == PASS:
-            syzygy_ok += 1
-    reports.append(
-        CheckReport(
-            f"syzygy-identity[random,pairs={len(pairs)}]",
-            PASS if syzygy_ok == len(pairs) else FAIL,
-            f"swap distributes over the multiplicative tensor on "
-            f"{syzygy_ok}/{len(pairs)} random pairs",
-        )
-    )
+    syzygy_ok = sum(check_syzygy_identity(x, y).verdict == PASS for x, y in pairs)
+    reports.append(_all_held(
+        f"syzygy-identity[random,pairs={len(pairs)}]", syzygy_ok, len(pairs),
+        "swap distributes over the multiplicative tensor on {held}/{total} random pairs",
+    ))
 
     reports.sort(key=lambda r: r.check_id)
     return reports

@@ -11,10 +11,10 @@ operands are maps (products and Kronecker products), and an identity factor
 of a product is passed through.  Every other operation (a map times a dict
 matrix, transposes, scalar multiples, block placement) takes the one entry
 path, where each entry of a product is summed in one terms dict and built
-once (``polynomials._sum_of_products``): one ``cli-files`` benchmark pass
-runs ``Polynomial._audit`` 7,457 times, not 21,091.  The README design note
-gives the measured traffic behind this line.  Large matrices occur in the
-check suites only as maps, so exact arithmetic stays affordable at side 2**19.
+once (``polynomials._sum_of_products``), so no partial sum of an entry is
+built or audited.  The README design note gives the measured traffic behind
+this line.  Large matrices occur in the check suites only as maps, so exact
+arithmetic stays affordable at side 2**19.
 
 :func:`kronecker` is the one Kronecker product of the library: with
 ``copies`` it builds I_copies (x) (a (x) b), so the doubled blocks of the

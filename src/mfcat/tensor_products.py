@@ -17,10 +17,12 @@ potentials:
   single Kronecker product, ``kronecker(a, b, 2)``: every entry product is
   computed once and stored at both block positions.
 
-The multiplicative product also acts on morphisms (one-sided whiskering and a
-full pairing), making it a bifunctor; those three constructions are validated
-on the nose here.  This module only builds values: the verdicts on them,
-such as the syzygy identity, come from :mod:`mfcat.axiom_suites`.
+The multiplicative product also acts on morphisms, making it a bifunctor.
+The tensor of two morphisms is built and validated by one body,
+:func:`mult_tensor_morph_pair`; whiskering by an object y is, as in any
+monoidal category, pairing with the identity morphism of y, whose validation
+is O(1).  This module only builds values: the verdicts on them, such as the
+syzygy identity, come from :mod:`mfcat.axiom_suites`.
 
 Variable disjointness between the two factors is deliberately not enforced;
 identifying variables (in particular for potential 1) is a supported use.
@@ -67,25 +69,13 @@ def mult_tensor(
 
 
 def mult_tensor_morph_left(z: MfMorphism, y: MatrixFactorization) -> MfMorphism:
-    """Whisker a morphism on the right by an object: z (x) y."""
-    eye = PolyMatrix.identity(y.size)
-    return MfMorphism(
-        mult_tensor(z.source, y),
-        mult_tensor(z.target, y),
-        kronecker(z.alpha, eye, 2),
-        kronecker(z.beta, eye, 2),
-    )
+    """Whisker a morphism on the right by an object: z (x) y = z (x) id_y."""
+    return mult_tensor_morph_pair(z, y.identity_morphism())
 
 
 def mult_tensor_morph_right(x: MatrixFactorization, z: MfMorphism) -> MfMorphism:
-    """Whisker a morphism on the left by an object: x (x) z."""
-    eye = PolyMatrix.identity(x.size)
-    return MfMorphism(
-        mult_tensor(x, z.source),
-        mult_tensor(x, z.target),
-        kronecker(eye, z.alpha, 2),
-        kronecker(eye, z.beta, 2),
-    )
+    """Whisker a morphism on the left by an object: x (x) z = id_x (x) z."""
+    return mult_tensor_morph_pair(x.identity_morphism(), z)
 
 
 def mult_tensor_morph_pair(zf: MfMorphism, zg: MfMorphism) -> MfMorphism:

@@ -59,6 +59,11 @@ def naive_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_rows(rows)
 
 
+def naive_doubled_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """I_2 (x) (a (x) b) densely: a component of the tensor of two morphisms."""
+    return naive_kronecker(PolyMatrix.identity(2), naive_kronecker(a, b))
+
+
 def dense_hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """[a, b] from the dense rows of both blocks."""
     assert a.rows == b.rows

@@ -34,9 +34,10 @@ from mfcat.t_subcategory import (
 from mfcat.tensor_products import (
     mult_tensor,
     mult_tensor_morph_left,
-    mult_tensor_morph_pair,
     mult_tensor_morph_right,
 )
+
+from support import naive_doubled_kronecker
 
 
 def test_pentagon_on_trivial_quadruple():
@@ -341,6 +342,108 @@ def test_rpm5_fails_when_the_unitor_sources_differ(monkeypatch):
     assert report.detail.startswith("rho == lambda value-wise on 0/1 objects")
 
 
+def _negate_first_nonzero_whiskered_morphism(real):
+    # The first nonzero nu of the naturality trials is whiskered as -nu, so
+    # both of that trial's squares fail (the unitors are injective and
+    # surjective components) and every other trial is left alone.
+    negated = []
+
+    def patched(x, z):
+        if not negated and z.is_nonzero():
+            negated.append(z)
+            z = MfMorphism(z.source, z.target, -z.alpha, -z.beta)
+        return real(x, z)
+
+    return patched
+
+
+def _zero_lambda_at_e(real):
+    def patched(a):
+        lam = real(a)
+        if a is not e_object():
+            return lam
+        zero = PolyMatrix.zeros(lam.alpha.rows, lam.alpha.cols)
+        return MfMorphism(lam.source, lam.target, zero, zero)
+
+    return patched
+
+
+def _fail_first_report(applies):
+    # The first report whose arguments satisfy ``applies`` reads FAIL.
+    def patch(real):
+        failed = []
+
+        def patched(*args):
+            report = real(*args)
+            if not failed and applies(*args):
+                failed.append(args)
+                return replace(report, verdict=FAIL)
+            return report
+
+        return patched
+
+    return patch
+
+
+@pytest.mark.parametrize(
+    "target, patch, run, expected",
+    [
+        (
+            "mult_tensor_morph_right",
+            _negate_first_nonzero_whiskered_morphism,
+            lambda: check_right_pseudo_monoidal(10, 3),
+            {
+                "rpm-2-lambda-naturality": "10/11 random naturality squares commute exactly",
+                "rpm-3-gamma-naturality": "10/11 random naturality squares commute exactly",
+            },
+        ),
+        (
+            "lambda_",
+            _zero_lambda_at_e,
+            lambda: check_right_pseudo_monoidal(10, 3),
+            {"rpm-4-lambda-gamma-identity": "lambda o gamma == id on 10/11 sampled objects"},
+        ),
+        (
+            "check_triangle",
+            _fail_first_report(lambda a, b: a is e_object()),
+            lambda: check_right_pseudo_monoidal(10, 3),
+            {"rpm-6-triangle-at-e": "triangle commutes at a=e against 11 sampled objects"},
+        ),
+        (
+            "check_triangle",
+            _fail_first_report(lambda a, b: a is not e_object()),
+            lambda: check_right_pseudo_monoidal(10, 3),
+            {
+                "rpm-7-triangle-beyond-e":
+                    "triangle fails (confirmed) for all 7 sampled objects of size >= 2",
+            },
+        ),
+        (
+            "check_syzygy_identity",
+            _fail_first_report(lambda x, y: True),
+            lambda: suite_all(maxpow=1, samples=5, seed=0),
+            {
+                "syzygy-identity[random,pairs=6]":
+                    "swap distributes over the multiplicative tensor on 5/6 random pairs",
+            },
+        ),
+    ],
+    ids=["rpm-2-and-rpm-3", "rpm-4", "rpm-6", "rpm-7", "syzygy-identity-random"],
+)
+def test_one_failing_instance_fails_the_all_instances_report(
+    monkeypatch, target, patch, run, expected
+):
+    # Each report over many instances holds only when all of them held: one
+    # failing instance turns it to FAIL, and a held count reads n-1/n.  The
+    # rpm-6 and rpm-7 details name only the total.
+    import mfcat.axiom_suites as suites
+
+    monkeypatch.setattr(suites, target, patch(getattr(suites, target)))
+    reports = {r.check_id: r for r in run()}
+    for check_id, detail in expected.items():
+        assert (reports[check_id].verdict, reports[check_id].detail) == (FAIL, detail)
+
+
 def test_pseudo_monoidal_check_builds_each_objects_unitors_once(monkeypatch):
     # The pool is e plus 50 samples; rpm-1 to rpm-5 and the naturality
     # trials read one gamma per object, and rpm-6/rpm-7 never call gamma.
@@ -359,14 +462,14 @@ def test_pseudo_monoidal_check_builds_each_objects_unitors_once(monkeypatch):
 
 
 def test_triangle_witnesses_match_pairing_with_identity_morphisms():
-    # The triangle whiskers directly; pairing with identity morphisms gives
-    # the same Kronecker products.
+    # The triangle's sides rho(a) (x) id_b and id_a (x) lambda(b), against
+    # the dense I_2 (x) (rho_a (x) I) and I_2 (x) (I (x) lambda_b).
     objects = [e_object(), e_power(2), random_mf1(6, 2, 4), random_mf1(7, 3, 4)]
     for a, b in itertools.product(objects, repeat=2):
-        lhs = mult_tensor_morph_pair(rho(a), b.identity_morphism())
-        rhs = mult_tensor_morph_pair(a.identity_morphism(), lambda_(b))
+        lhs = naive_doubled_kronecker(rho(a).alpha, PolyMatrix.identity(b.size))
+        rhs = naive_doubled_kronecker(PolyMatrix.identity(a.size), lambda_(b).alpha)
         names = dict(check_triangle(a, b).witnesses)
-        assert names["lhs_alpha"] == lhs.alpha and names["rhs_alpha"] == rhs.alpha
+        assert names["lhs_alpha"] == lhs and names["rhs_alpha"] == rhs
 
 
 def _raise_type_error(*args):

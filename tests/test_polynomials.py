@@ -264,10 +264,9 @@ def test_constant_helpers():
         parse_polynomial("x + 1").constant_value()
 
 
-def test_total_degree_and_variables():
+def test_total_degree():
     p = parse_polynomial("x^2*y + z - 4")
     assert p.total_degree() == 3
-    assert p.variables() == {"x", "y", "z"}
 
 
 # -- integral coefficients are stored as int, rationals as Fraction ----------

@@ -3,9 +3,11 @@
 A public top-level function, or a public method of a public class, that no
 module of the package names (``__init__.py``'s re-exports aside) is code
 nothing runs: it is deleted, moved into ``tests/support.py`` as an oracle,
-or listed in ``KEPT`` with the reason it stays.  A name counts as used when
-some module mentions it as a name or an attribute.  The modules are read as
-text, never imported.
+or listed in ``KEPT`` with the reason it stays.  A function counts as used
+when some module mentions it as a name or an attribute; a method only when
+some module reads it as an attribute, so a local variable of the same name
+does not hide an unused method.  The modules are read as text, never
+imported.
 """
 
 import ast
@@ -17,8 +19,6 @@ KEPT = {
     "connecting_morphism": "paper notion: the canonical T-morphism e^m -> e^p",
     "is_t_morphism": "paper notion: membership of the T-subcategory",
     "l_iso": "paper notion: the isomorphism e (x) a -> a (x) e",
-    "mult_tensor_morph_pair": "paper notion: the tensor product of two morphisms",
-    "MatrixFactorization.identity_morphism": "paper notion: the identity morphism",
     "associator": "stays until a genuine associator on all of MF replaces it",
     "direct_sum": "the benchmark counter matrices.direct_sum_calls names it",
     "PolyMatrix.zeros": "value constructor",
@@ -26,6 +26,8 @@ KEPT = {
     "Polynomial.variable": "value constructor",
     "Polynomial.constant_value": "value query",
     "Polynomial.total_degree": "value query",
+    "Polynomial.terms": "value query; bench/oracle.py and bench/layertrace.py read it",
+    "PolyMatrix.entry": "value query; the dense oracles in tests/support.py read it",
     "MfMorphism.is_nonzero": "value query",
 }
 
@@ -44,9 +46,9 @@ def _public_definitions() -> dict[str, str]:
     return found
 
 
-def _referenced_names() -> set[str]:
-    """Every name and attribute mentioned outside ``__init__.py``."""
-    names = set()
+def _referenced_names() -> tuple[set[str], set[str]]:
+    """(names, attributes) mentioned outside ``__init__.py``."""
+    names, attributes = set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -54,15 +56,15 @@ def _referenced_names() -> set[str]:
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def _unused() -> set[str]:
-    referenced = _referenced_names()
+    names, attributes = _referenced_names()
     return {
         name for name in _public_definitions()
-        if name.rsplit(".", 1)[-1] not in referenced
+        if name.rsplit(".", 1)[-1] not in (attributes if "." in name else names | attributes)
     }
 
 

@@ -17,7 +17,13 @@ from mfcat.tensor_products import (
     yoshino_tensor,
 )
 
-from support import naive_kronecker, random_matrix, random_mf1_morphism, random_valid_mf
+from support import (
+    naive_doubled_kronecker,
+    naive_kronecker,
+    random_matrix,
+    random_mf1_morphism,
+    random_valid_mf,
+)
 
 
 def mf_1x1(entry: str, potential: str) -> MatrixFactorization:
@@ -128,23 +134,33 @@ def test_e_whisker_commutes_left_right():
 
 
 def test_whisker_by_identity_is_identity():
-    rng = random.Random(75)
+    # Both components are I_2 (x) (I_2 (x) I_3), built densely.
     x = random_mf1(11, 2, 4)
     y = random_mf1(12, 3, 4)
-    assert mult_tensor_morph_right(x, y.identity_morphism()) == mult_tensor(
-        x, y
-    ).identity_morphism()
+    whiskered = mult_tensor_morph_right(x, y.identity_morphism())
+    eye = naive_doubled_kronecker(PolyMatrix.identity(2), PolyMatrix.identity(3))
+    assert whiskered.alpha == whiskered.beta == eye
+    assert whiskered.source == whiskered.target == mult_tensor(x, y)
 
 
 def test_pair_tensor_consistent_with_whiskering():
+    # Whiskering on either side and pairing with an identity morphism give
+    # the dense I_2 (x) (alpha (x) I) and I_2 (x) (I (x) alpha).
     rng = random.Random(76)
     src = random_mf1(21, 2, 4)
     tgt = random_mf1(22, 2, 4)
     zf = random_mf1_morphism(rng, src, tgt)
     y = random_mf1(23, 3, 4)
-    assert mult_tensor_morph_pair(zf, y.identity_morphism()) == mult_tensor_morph_left(
-        zf, y
-    )
+    eye = PolyMatrix.identity(y.size)
+    on_right = (naive_doubled_kronecker(zf.alpha, eye), naive_doubled_kronecker(zf.beta, eye))
+    on_left = (naive_doubled_kronecker(eye, zf.alpha), naive_doubled_kronecker(eye, zf.beta))
+    for whiskered, expected in (
+        (mult_tensor_morph_left(zf, y), on_right),
+        (mult_tensor_morph_pair(zf, y.identity_morphism()), on_right),
+        (mult_tensor_morph_right(y, zf), on_left),
+        (mult_tensor_morph_pair(y.identity_morphism(), zf), on_left),
+    ):
+        assert (whiskered.alpha, whiskered.beta) == expected
 
 
 def test_identity_preservation():
