@@ -32,17 +32,20 @@ As a convenience a bare leading '-' (as in ``-x``) is accepted and read as
 coefficient -1, so canonical output always re-parses.  A variable's exponent
 within a term, summed over its factors, may not exceed ``MAX_EXPONENT``.
 
-A parsed sum is collected into one term mapping and built once, so parsing is
-linear in the input.  So is a sum of products p*q in :func:`_sum_of_products`,
-the one term loop of ``*`` and of each matrix product entry: every monomial
-product lands in one terms dict, and no intermediate sum or product is built
-(the README design note gives the measured traffic).  An error names one
-0-based position in the text read; matrix literals are read with the same
-scanner (see :mod:`mfcat.matrices`).
+The scanner reads one token per step: whitespace, a numeral or a name is one
+compiled pattern matched at the current position.  A parsed sum is collected
+into one term mapping, its coefficients ``int`` until a ``/`` is read, and
+built once by :func:`_make`, so parsing is linear in the input.  So is a sum
+of products p*q in :func:`_sum_of_products`, the one term loop of ``*`` and of
+each matrix product entry: every monomial product lands in one terms dict,
+and no intermediate sum or product is built (the README design note gives the
+measured traffic).  An error names one 0-based position in the text read;
+matrix literals are read with the same scanner (see :mod:`mfcat.matrices`).
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -264,7 +267,12 @@ def _sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomi
             for mono_b, coeff_b in q._terms.items():
                 mono = _mul_monomials(mono_a, mono_b)
                 out[mono] = out.get(mono, 0) + coeff_a * coeff_b
-    terms = {mono: _num(total) for mono, total in out.items() if total}
+    return _collected(out)
+
+
+def _collected(sums: dict[Monomial, Coefficient]) -> Polynomial:
+    """``sums`` normalised, zeros dropped, built once (``ZERO`` if none is left)."""
+    terms = {mono: _num(total) for mono, total in sums.items() if total}
     return _make(terms) if terms else ZERO
 
 
@@ -323,20 +331,25 @@ def canonical_string(p: Polynomial) -> str:
 # parsing
 
 
+# A name is a ``str.isalpha`` letter, then ``_WORD``.  For ``str`` patterns,
+# ``re`` defines ``\s``, ``\d`` and ``\w`` by ``str.isspace``, ``str.isdecimal``
+# and ``str.isalnum() or '_'``: the grammar's space, digit and name character.
+_SPACE = re.compile(r"\s*").match
+_DIGITS = re.compile(r"\d+").match
+_WORD = re.compile(r"\w*").match
+
+
 class _Tokenizer:
+    """A cursor over ``text``; each read skips the whitespace before it."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_space()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
+        """The next character ('' at the end), with ``pos`` moved onto it."""
+        self.pos = _SPACE(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
 
     def take_symbol(self, symbols: str) -> str | None:
         ch = self.peek()
@@ -346,66 +359,57 @@ class _Tokenizer:
         return None
 
     def take_nat(self) -> int | None:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
+        self.peek()
+        match = _DIGITS(self.text, self.pos)
+        if match is None:
             return None
+        digits, self.pos = match.group(), match.end()
         try:
-            return int(self.text[start : self.pos])
+            return int(digits)
         except ValueError:  # beyond the interpreter's int-string digit limit
             raise PolynomialSyntaxError(
-                f"numeral of {self.pos - start} digits exceeds the limit of "
+                f"numeral of {len(digits)} digits exceeds the limit of "
                 f"{sys.get_int_max_str_digits()} digits",
-                start,
+                match.start(),
             ) from None
 
     def take_name(self) -> str | None:
-        self.skip_space()
+        if not self.peek().isalpha():
+            return None
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            return self.text[start : self.pos]
-        return None
+        self.pos = _WORD(self.text, start + 1).end()
+        return self.text[start : self.pos]
 
     def at_end(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
+        return not self.peek()
 
 
-def _parse_rational(tok: _Tokenizer) -> Fraction:
+def _parse_rational(tok: _Tokenizer) -> Coefficient:
     numerator = tok.take_nat()
     if not tok.take_symbol("/"):
-        return Fraction(numerator)
+        return numerator
     denom_pos = tok.pos
     denominator = tok.take_nat()
     if denominator is None:
         raise MalformedRationalError("expected denominator after '/'", denom_pos)
     if denominator == 0:
         raise MalformedRationalError("zero denominator", denom_pos)
-    return Fraction(numerator, denominator)
+    return _num(Fraction(numerator, denominator))
 
 
-def _parse_term(tok: _Tokenizer) -> tuple[Monomial, Fraction]:
-    sign = -1 if tok.take_symbol("-") else 1  # a bare '-x' reads as -1*x
-    coefficient = Fraction(sign)
+def _parse_term(tok: _Tokenizer) -> tuple[Monomial, Coefficient]:
+    coefficient = -1 if tok.take_symbol("-") else 1  # a bare '-x' reads as -1*x
     if tok.peek().isdecimal():
-        coefficient = sign * _parse_rational(tok)
+        coefficient *= _parse_rational(tok)
         if not tok.take_symbol("*") and not tok.peek().isalpha():
             return (), coefficient
     exponents: dict[str, int] = {}
     while True:
-        tok.skip_space()
-        position, exponent = tok.pos, 1
         name = tok.take_name()
         if name is None:
             message = "expected a variable" if exponents else "expected a term"
-            raise PolynomialSyntaxError(message, position)
+            raise PolynomialSyntaxError(message, tok.pos)
+        position, exponent = tok.pos - len(name), 1
         if tok.take_symbol("^"):
             position = tok.pos
             exponent = tok.take_nat()
@@ -426,7 +430,7 @@ def _parse_term(tok: _Tokenizer) -> tuple[Monomial, Fraction]:
 
 def _parse_sum(tok: _Tokenizer) -> Polynomial:
     """Read ``term (('+'|'-') term)*``, stopping before any other symbol."""
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Coefficient] = {}
     sign: str | None = "+"
     while sign:
         monomial, coefficient = _parse_term(tok)
@@ -434,7 +438,7 @@ def _parse_sum(tok: _Tokenizer) -> Polynomial:
             coefficient = -coefficient
         terms[monomial] = terms.get(monomial, 0) + coefficient
         sign = tok.take_symbol("+-")
-    return Polynomial(terms)
+    return _collected(terms)
 
 
 def parse_polynomial(text: str) -> Polynomial:

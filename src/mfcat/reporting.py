@@ -13,7 +13,7 @@ The one-line rendering is ``PASS|FAIL|XFAIL-OK <check_id> <detail>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .matrices import PolyMatrix, matrix_literal
 
@@ -27,12 +27,11 @@ _LINE_TOKEN = {PASS: "PASS", FAIL: "FAIL", XFAIL_OK: "XFAIL-OK"}
 _RENDER_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     verdict: str
     detail: str
-    witnesses: tuple[tuple[str, PolyMatrix], ...] = field(default=())
+    witnesses: tuple[tuple[str, PolyMatrix], ...] = ()
 
     @property
     def ok(self) -> bool:

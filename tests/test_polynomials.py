@@ -158,34 +158,59 @@ def test_exponent_bound_applies_to_a_variable_within_a_term():
 _LONG = "9" * 5000
 
 
+_MALFORMED = [
+    ("x + @", PolynomialSyntaxError, "expected a term", 4),
+    ("x y", PolynomialSyntaxError, "unexpected character 'y'", 2),
+    ("x*", PolynomialSyntaxError, "expected a variable", 2),
+    ("2*+x", PolynomialSyntaxError, "expected a term", 2),
+    ("- -x", PolynomialSyntaxError, "expected a term", 2),
+    ("x^", PolynomialSyntaxError, "expected an exponent after '^'", 2),
+    ("x^\u00b2", PolynomialSyntaxError, "expected an exponent after '^'", 2),
+    ("\u00b2", PolynomialSyntaxError, "expected a term", 0),
+    ("\u00bd", PolynomialSyntaxError, "expected a term", 0),
+    ("_x", PolynomialSyntaxError, "expected a term", 0),
+    ("3/0", MalformedRationalError, "zero denominator", 2),
+    ("3/x", MalformedRationalError, "expected denominator after '/'", 2),
+    ("x^9999999", ExponentOverflowError, "exponent 9999999 exceeds limit 1000000", 2),
+    ("x^600000*x^600000", ExponentOverflowError, "exponent 1200000 exceeds limit", 11),
+    ("x^1000000*x", ExponentOverflowError, "exponent 1000001 exceeds limit", 10),
+    (_LONG, PolynomialSyntaxError, "numeral of 5000 digits exceeds", 0),
+    ("x + " + _LONG, PolynomialSyntaxError, "numeral of 5000 digits exceeds", 4),
+    ("x^" + _LONG, PolynomialSyntaxError, "numeral of 5000 digits exceeds", 2),
+    ("1/" + _LONG, PolynomialSyntaxError, "numeral of 5000 digits exceeds", 2),
+]
+
+
 @pytest.mark.parametrize(
-    "text, error, position",
-    [
-        ("x + @", PolynomialSyntaxError, 4),
-        ("x y", PolynomialSyntaxError, 2),
-        ("x*", PolynomialSyntaxError, 2),
-        ("2*+x", PolynomialSyntaxError, 2),
-        ("- -x", PolynomialSyntaxError, 2),
-        ("x^", PolynomialSyntaxError, 2),
-        ("x^\u00b2", PolynomialSyntaxError, 2),
-        ("\u00b2", PolynomialSyntaxError, 0),
-        ("3/0", MalformedRationalError, 2),
-        ("3/x", MalformedRationalError, 2),
-        ("x^9999999", ExponentOverflowError, 2),
-        ("x^600000*x^600000", ExponentOverflowError, 11),
-        ("x^1000000*x", ExponentOverflowError, 10),
-        (_LONG, PolynomialSyntaxError, 0),
-        ("x + " + _LONG, PolynomialSyntaxError, 4),
-        ("x^" + _LONG, PolynomialSyntaxError, 2),
-        ("1/" + _LONG, PolynomialSyntaxError, 2),
-    ],
-    ids=lambda value: value[:24] if isinstance(value, str) else None,
+    "text, error, message, position",
+    _MALFORMED,
+    ids=[f"{text[:24]}-{error.__name__}-{position}" for text, error, _, position in _MALFORMED],
 )
-def test_malformed_polynomials_carry_one_position(text, error, position):
+def test_malformed_polynomials_carry_one_position(text, error, message, position):
     with pytest.raises(error) as info:
         parse_polynomial(text)
+    assert str(info.value).startswith(message)
     assert info.value.position == position
     assert str(info.value).count("(at position") == 1
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # Space is whatever str.isspace accepts.
+        ("x\u00a0+\u2003y", "x + y"),
+        ("x\u2028+ y", "x + y"),
+        # Numerals are str.isdecimal digits of any script.
+        ("\u0663*x", "3*x"),
+        ("\uff13", "3"),
+        # A name starts with a str.isalpha letter, then takes str.isalnum or '_'.
+        ("x\u00b2", "x\u00b2"),
+        ("\u00e9^2", "\u00e9^2"),
+    ],
+    ids=lambda value: value.encode("unicode_escape").decode(),
+)
+def test_scanner_character_classes(text, expected):
+    assert canonical_string(parse_polynomial(text)) == expected
 
 
 def test_addition_identity_and_cancellation():
