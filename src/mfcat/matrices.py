@@ -4,17 +4,26 @@ Every (1,0)-matrix with at most one 1 per row and per column (identities,
 zero matrices, partial identities, permutations) is stored as a *column
 map*: for each column, the row of its 1 or ``None``.  The identity's map is
 ``range(n)``, so identities of any side cost O(1).  Every other matrix is a
-dict of its nonzero entries.  The constructor picks the backend, so the
-choice is canonical: the sub-permutation tests are O(1), and matrices on
-different backends are unequal.  Index arithmetic is used only where both
-operands are maps (products and Kronecker products), and an identity factor
-of a product is passed through.  Every other operation (a map times a dict
-matrix, transposes, scalar multiples, block placement) takes the one entry
-path, where each entry of a product is summed in one terms dict and built
-once (``polynomials._sum_of_products``), so no partial sum of an entry is
-built or audited.  The README design note gives the measured traffic behind
-this line.  Large matrices occur in the check suites only as maps, so exact
-arithmetic stays affordable at side 2**19.
+dict of its nonzero entries.  The public constructor checks every index,
+drops zeros and picks the backend, so the choice is canonical: the
+sub-permutation tests are O(1), and matrices on different backends are
+unequal.  Results that are in range, nonzero and canonical by construction
+skip it (:func:`_make_matrix`): ``identity(n)``; a product of two maps (a
+composition of injective partial maps, ``range`` when it is the identity); a
+Kronecker product of two maps (the identity only when both factors are); and
+the entry path of :func:`kronecker` (products of nonzero polynomials are
+nonzero, and unless all are 1, as for units like -1 * -1, the result is a
+dict matrix).  Everything else, parsed input included, is checked: a
+negation, for one, can turn a dict matrix of -1s into a map.  Index
+arithmetic is used only where both operands are maps (products and Kronecker
+products), and an identity factor of a product is passed through.  Every
+other operation (a map times a dict matrix, transposes, scalar multiples,
+block placement) takes the one entry path, where each entry of a product is
+summed in one terms dict and built once (``polynomials._sum_of_products``),
+so no partial sum of an entry is built or audited.  The README design note
+gives the measured traffic behind this line.  Large matrices occur in the
+check suites only as maps, so exact arithmetic stays affordable at side
+2**19.
 
 :func:`kronecker` is the one Kronecker product of the library: with
 ``copies`` it builds I_copies (x) (a (x) b), so the doubled blocks of the
@@ -122,10 +131,6 @@ class PolyMatrix:
         self.rows = rows
         self.cols = cols
         self._entries = None
-        if (type(entries) is range and rows == cols == entries.stop
-                and entries.start == 0 and entries.step == 1):
-            self._map = entries  # the identity, valid as it stands
-            return
         if isinstance(entries, (tuple, list, range)):
             self._map = _checked_map(rows, cols, entries)
             return
@@ -148,7 +153,8 @@ class PolyMatrix:
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(n, n, range(n))
+        _guard(n, n)
+        return _make_matrix(n, n, None, range(n))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
@@ -230,9 +236,10 @@ class PolyMatrix:
             return self
         left, right = self._map, other._map
         if left is not None and right is not None:
-            return PolyMatrix(
-                self.rows, other.cols, [None if k is None else left[k] for k in right]
-            )
+            composed = tuple([None if k is None else left[k] for k in right])
+            if self.rows == other.cols and composed == tuple(range(other.cols)):
+                composed = range(other.cols)
+            return _make_matrix(self.rows, other.cols, None, composed)
         by_row: dict[int, list[tuple[int, Polynomial]]] = {}
         for k, j, p in other.items():
             by_row.setdefault(k, []).append((j, p))
@@ -289,6 +296,19 @@ class PolyMatrix:
         return f"PolyMatrix({matrix_literal(self)})"
 
 
+def _make_matrix(
+    rows: int, cols: int, entries: dict | None, column_map: ColumnMap | None
+) -> PolyMatrix:
+    """Wrap, unchecked and uncopied, a matrix already within the guard and on
+    its canonical backend (``entries`` or ``column_map``, the other None)."""
+    m = object.__new__(PolyMatrix)
+    m.rows = rows
+    m.cols = cols
+    m._entries = entries
+    m._map = column_map
+    return m
+
+
 # ---------------------------------------------------------------------------
 # block constructions
 
@@ -299,8 +319,9 @@ def kronecker(a: PolyMatrix, b: PolyMatrix, copies: int = 1) -> PolyMatrix:
     entry product is computed once and stored at every copy."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
     _guard(rows, cols)  # an oversized a (x) b is reported at its own size
+    _guard(copies * rows, copies * cols)
     if a.is_identity() and b.is_identity():
-        return PolyMatrix.identity(copies * rows)
+        return _make_matrix(copies * rows, copies * rows, None, range(copies * rows))
     if a.is_sub_permutation01() and b.is_sub_permutation01():
         return _map_kronecker(a, b, copies)
     entries: dict[tuple[int, int], Polynomial] = {}
@@ -309,16 +330,20 @@ def kronecker(a: PolyMatrix, b: PolyMatrix, copies: int = 1) -> PolyMatrix:
             r, c, pq = i * b.rows + k, j * b.cols + l, p * q
             for n in range(copies):
                 entries[(n * rows + r, n * cols + c)] = pq
-    return PolyMatrix(copies * rows, copies * cols, entries)
+    # only all-1 products (of units) or none at all can form a map
+    if all(p.is_one() for p in entries.values()):
+        return PolyMatrix(copies * rows, copies * cols, entries)
+    return _make_matrix(copies * rows, copies * cols, entries, None)
 
 
 def _map_kronecker(a: PolyMatrix, b: PolyMatrix, copies: int) -> PolyMatrix:
-    """:func:`kronecker` of two column maps, by index arithmetic alone."""
+    """:func:`kronecker` of two column maps, not both identities, by index
+    arithmetic alone."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
     block = [None if i is None or k is None else i * b.rows + k for i in a._map for k in b._map]
-    return PolyMatrix(copies * rows, copies * cols, [
+    return _make_matrix(copies * rows, copies * cols, None, tuple([
         None if r is None else c * rows + r for c in range(copies) for r in block
-    ])
+    ]))
 
 
 def _placed(rows: int, cols: int, blocks) -> PolyMatrix:

@@ -441,6 +441,18 @@ def test_epower_sweeps_to_maxpow4_match_pinned_report(capsys):
     assert out.encode("utf-8") == expected
 
 
+def test_epower_sweeps_to_maxpow5_match_pinned_report(capsys):
+    # The one pass of the suite-epowers benchmark workload (at seed 0): the
+    # e-power sweeps up to e^5, where identity matrices reach side 2**19.
+    expected = (DATA / "suite_all_maxpow5_samples0_seed0.txt").read_bytes()
+    code, out, err = run_cli(
+        capsys, "suite", "all", "--maxpow", "5", "--samples", "0", "--seed", "0"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.encode("utf-8") == expected
+
+
 def test_default_suite_matches_pinned_report(capsys):
     # The defaults (maxpow 5, 50 samples, seed 0) are the only configuration
     # with a 51-object pool and 28 size >= 2 triangles in rpm-7.

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mfcat.errors import DimensionMismatchError, MatrixSyntaxError, SizeGuardError
 from mfcat.matrices import (
@@ -195,6 +195,10 @@ def test_size_guard():
     big = PolyMatrix.identity(MAX_SIDE // 2 + 1)
     with pytest.raises(SizeGuardError):
         kronecker(big, PolyMatrix.identity(2))
+    # within the guard as big (x) I_1, past it only through the copies
+    with pytest.raises(SizeGuardError) as info:
+        kronecker(big, PolyMatrix.identity(1), 2)
+    assert str(info.value) == "result size 1048578x1048578 exceeds the guard (1048576 per side)"
     with pytest.raises(SizeGuardError):
         direct_sum(big, big)
 
@@ -376,6 +380,75 @@ def test_entry_path_products_match_naive_with_cancelling_entries(operands):
     assert product.nnz() == sum(not p.is_zero() for row in dense for p in row)
 
 
+# ---------------------------------------------------------------------------
+# the trusted constructions: identities, products of two column maps and
+# Kronecker products skip the checking constructor, so each result must
+# already be what that constructor makes of its entries
+
+
+def _assert_built_as_checked(m, expected):
+    """``m`` equals ``expected`` (an oracle's result) and the public
+    constructor's rebuild of its entries, on the same backend."""
+    rebuilt = PolyMatrix(m.rows, m.cols, {(i, j): p for i, j, p in m.items()})
+    assert m == rebuilt and m == expected
+    assert m.is_identity() == rebuilt.is_identity()
+    assert m.is_sub_permutation01() == rebuilt.is_sub_permutation01()
+
+
+@given(st.integers(1, 40))
+def test_identity_is_built_as_checked(n):
+    dense = PolyMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    _assert_built_as_checked(PolyMatrix.identity(n), dense)
+
+
+@st.composite
+def _map_product_operands(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(_map_matrix(n, k)), draw(_map_matrix(k, m))
+
+
+_CYCLE = PolyMatrix.permutation([1, 2, 0])
+
+
+@given(_map_product_operands())
+@example((_CYCLE, _CYCLE.transpose()))  # a permutation times its inverse
+@example((PolyMatrix.zeros(2, 3), _CYCLE))
+@example((PolyMatrix.permutation([1, 0]), PolyMatrix.zeros(2, 1)))
+@example((PolyMatrix.zeros(1, 1), PolyMatrix.zeros(1, 1)))
+def test_map_products_are_built_as_checked(operands):
+    a, b = operands
+    _assert_built_as_checked(a @ b, naive_mat_mul(a, b))
+
+
+# Products of these unit scales meet 1: (-1)(-1) and 2 * 1/2.
+_UNIT_SCALES = st.sampled_from([parse_polynomial(c) for c in ("1", "-1", "2", "1/2")])
+
+
+@st.composite
+def _kronecker_factor(draw):
+    """An identity, a column map, a column map times a unit, or a dict matrix."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["identity", "map", "scaled map", "dict"]))
+    if kind == "identity":
+        return PolyMatrix.identity(rows)
+    if kind == "dict":
+        return draw(_dict_matrix(rows, cols))
+    m = draw(_map_matrix(rows, cols))
+    return draw(_UNIT_SCALES) * m if kind == "scaled map" else m
+
+
+@given(_kronecker_factor(), _kronecker_factor(), st.integers(1, 3))
+@example(PolyMatrix.zeros(2, 1), _CYCLE, 2)  # a zero factor on the map path
+@example(PolyMatrix.from_rows([["x + 1", 2]]), PolyMatrix.zeros(1, 2), 1)  # on the entry path
+@example(PolyMatrix.identity(1), PolyMatrix.permutation([1, 0]), 3)  # a 1x1 factor
+@example(-PolyMatrix.identity(1), -PolyMatrix.identity(1), 3)  # (-1)(-1): the identity
+@example(2 * _CYCLE, PolyMatrix.from_rows([[0, "1/2"], ["1/2", 0]]), 2)  # a permutation
+@example(PolyMatrix.from_rows([[2, 2]]), PolyMatrix.from_rows([["1/2"]]), 1)  # 1s, not a map
+def test_kronecker_products_are_built_as_checked(a, b, copies):
+    expected = naive_kronecker(PolyMatrix.identity(copies), naive_kronecker(a, b))
+    _assert_built_as_checked(kronecker(a, b, copies), expected)
+
+
 def test_matmul_builds_each_entry_once(monkeypatch):
     a = parse_matrix("[[x + 1, y, x - y], [2*x, x*y + 1/2, 1], [y - 1, x^2, x + y]]")
     b = parse_matrix("[[y, 1/2*x + y, 2], [-x - 1, x - 1, y^2], [0, 3, x*y - 1/3]]")
@@ -519,6 +592,11 @@ def test_map_kronecker_past_the_guard_raises_like_the_entry_path():
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert f"result size {2 * side}x2 exceeds the guard" in messages[0]
+    # a (x) I_1 is within the guard; only its two copies are past it
+    for a in (on_map, on_entries):
+        with pytest.raises(SizeGuardError) as info:
+            kronecker(a, PolyMatrix.identity(1), 2)
+        assert str(info.value) == "result size 1048578x2 exceeds the guard (1048576 per side)"
 
 
 # ---------------------------------------------------------------------------
