@@ -18,10 +18,11 @@ negation, for one, can turn a dict matrix of -1s into a map.  Index
 arithmetic is used only where both operands are maps (products and Kronecker
 products), and an identity factor of a product is passed through.  Every
 other operation (a map times a dict matrix, transposes, scalar multiples,
-block placement) takes the one entry path, where each entry of a product is
-summed in one terms dict and built once (``polynomials._sum_of_products``),
-so no partial sum of an entry is built or audited.  The README design note
-gives the measured traffic behind this line.  Large matrices occur in the
+block placement) takes the one entry path.  There a product hands the
+entries of both operands to the one product kernel
+(``polynomials._packed_product``), which packs each operand entry once and
+sums each result entry in one dict, so no partial sum of an entry is built or
+audited.  The README design note gives the measured traffic behind this line.  Large matrices occur in the
 check suites only as maps, so exact arithmetic stays affordable at side
 2**19.
 
@@ -54,7 +55,7 @@ from .errors import (
     SizeGuardError,
 )
 from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _Tokenizer, parse_polynomial
-from .polynomials import _sum_of_products
+from .polynomials import _packed_product
 
 # Tensor powers of the trivial factorization reach side 2**19 in the largest
 # check-suite configuration; one extra power of two of headroom.
@@ -240,16 +241,7 @@ class PolyMatrix:
             if self.rows == other.cols and composed == tuple(range(other.cols)):
                 composed = range(other.cols)
             return _make_matrix(self.rows, other.cols, None, composed)
-        by_row: dict[int, list[tuple[int, Polynomial]]] = {}
-        for k, j, p in other.items():
-            by_row.setdefault(k, []).append((j, p))
-        pairs: dict[tuple[int, int], list[tuple[Polynomial, Polynomial]]] = {}
-        for i, k, p in self.items():
-            for j, q in by_row.get(k, ()):
-                pairs.setdefault((i, j), []).append((p, q))
-        return PolyMatrix(self.rows, other.cols, {
-            key: _sum_of_products(entry) for key, entry in pairs.items()
-        })
+        return PolyMatrix(self.rows, other.cols, _packed_product(self.items(), other.items()))
 
     def __mul__(self, scalar) -> "PolyMatrix":
         p = _coerce_entry(scalar)

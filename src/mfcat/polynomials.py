@@ -35,10 +35,10 @@ within a term, summed over its factors, may not exceed ``MAX_EXPONENT``.
 The scanner reads one token per step: whitespace, a numeral or a name is one
 compiled pattern matched at the current position.  A parsed sum is collected
 into one term mapping, its coefficients ``int`` until a ``/`` is read, and
-built once by :func:`_make`, so parsing is linear in the input.  So is a sum
-of products p*q in :func:`_sum_of_products`, the one term loop of ``*`` and of
-each matrix product entry: every monomial product lands in one terms dict,
-and no intermediate sum or product is built (the README design note gives the
+built once by :func:`_make`, so parsing is linear in the input.  ``*`` and
+every matrix product entry share one kernel, :func:`_packed_product`: within
+one call each monomial is packed into an int, so a monomial product is one
+int addition; stored monomials stay tuples (the README design note gives the
 measured traffic).  An error names one 0-based position in the text read;
 matrix literals are read with the same scanner (see :mod:`mfcat.matrices`).
 """
@@ -219,7 +219,7 @@ class Polynomial:
             return self
         if lhs_terms == _ONE_TERMS:
             return rhs
-        return _sum_of_products(((self, rhs),))
+        return _packed_product(((0, 0, self),), ((0, 0, rhs),))[0, 0]
 
     __rmul__ = __mul__
 
@@ -247,27 +247,63 @@ class Polynomial:
         return f"Polynomial({canonical_string(self)!r})"
 
 
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exponents: dict[str, int] = dict(a)
-    for var, exp in b:
-        exponents[var] = exponents.get(var, 0) + exp
-    return _sort_monomial(exponents.items())
+def _packed_product(
+    left: Iterable[tuple[int, int, Polynomial]], right: Iterable[tuple[int, int, Polynomial]]
+) -> dict[tuple[int, int], Polynomial]:
+    """The nonzero entries of the product of two sparse matrices, each given
+    by its nonzero entries ``(row, col, value)``: entry (i, j) sums ``p * q``
+    over left entries (i, k, p) and right entries (k, j, q), in the order
+    that pairs of entries first reach it.
 
-
-def _sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """The sum of ``p * q`` over ``pairs``, summed in one terms dict with each
-    coefficient normalised once, and built once (``ZERO`` if it cancels)."""
-    out: dict[Monomial, Coefficient] = {}
-    for p, q in pairs:
-        for mono_a, coeff_a in p._terms.items():
-            for mono_b, coeff_b in q._terms.items():
-                mono = _mul_monomials(mono_a, mono_b)
-                out[mono] = out.get(mono, 0) + coeff_a * coeff_b
-    return _collected(out)
+    Each distinct monomial of the operands is packed once into an int, one
+    digit per variable in name order, in base 2e + 1 for the largest exponent
+    e: a product's exponents are at most 2e, so no digit carries and a
+    monomial product is one int addition.  Each entry is summed in one
+    int-keyed dict and each nonzero entry is built once.  A result monomial
+    that is an operand's is that tuple; any other is decoded once per call,
+    from ``(variable, exponent)`` pairs shared within the call."""
+    left, right = list(left), list(right)
+    codes = dict.fromkeys(m for _, _, p in left + right for m in p._terms)
+    names = sorted({var for m in codes for var, _ in m})
+    base = 2 * max((exp for m in codes for _, exp in m), default=0) + 1
+    weights = {var: base**digit for digit, var in enumerate(names)}
+    for m in codes:
+        codes[m] = sum([weights[var] * exp for var, exp in m])
+    by_row: dict[int, list[tuple[int, list[tuple[int, Coefficient]]]]] = {}
+    for k, j, q in right:
+        by_row.setdefault(k, []).append((j, [(codes[m], c) for m, c in q._terms.items()]))
+    sums: dict[tuple[int, int], dict[int, Coefficient]] = {}
+    for i, k, p in left:
+        row = by_row.get(k)
+        if row is None:
+            continue
+        packed = [(codes[m], c) for m, c in p._terms.items()]
+        for j, packed_q in row:
+            acc = sums.setdefault((i, j), {})
+            for code_a, coeff_a in packed:
+                for code_b, coeff_b in packed_q:
+                    code = code_a + code_b
+                    acc[code] = acc.get(code, 0) + coeff_a * coeff_b
+    shared: list[dict[int, tuple[str, int]]] = [{} for _ in names]
+    monomials: dict[int, Monomial] = {code: m for m, code in codes.items()}
+    entries: dict[tuple[int, int], Polynomial] = {}
+    for key, acc in sums.items():
+        terms: dict[Monomial, Coefficient] = {}
+        for code, total in acc.items():
+            if not total:
+                continue
+            mono = monomials.get(code)
+            if mono is None:
+                rest, pairs = code, []
+                for var, pair_of in zip(names, shared):
+                    rest, exp = divmod(rest, base)
+                    if exp:
+                        pairs.append(pair_of.setdefault(exp, (var, exp)))
+                mono = monomials[code] = tuple(pairs)
+            terms[mono] = _num(total)
+        if terms:
+            entries[key] = _make(terms)
+    return entries
 
 
 def _collected(sums: dict[Monomial, Coefficient]) -> Polynomial:

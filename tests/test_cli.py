@@ -279,6 +279,33 @@ def test_validate_of_a_long_potential_takes_linear_time(tmp_path, capsys):
     assert elapsed < 10, elapsed
 
 
+def _dense(side: int, entry: str) -> str:
+    return "[" + ", ".join(["[" + ", ".join([entry] * side) + "]"] * side) + "]"
+
+
+@pytest.mark.parametrize(
+    "phi, psi",
+    [
+        pytest.param(_dense(30, "x+1"), _dense(30, "x+1"), id="dense-30x30"),
+        pytest.param(
+            "[[" + " + ".join(f"x^{k}" for k in range(1, 101)) + "]]",
+            "[[" + " + ".join(f"y^{k}" for k in range(1, 101)) + "]]",
+            id="one-by-one-100-terms",
+        ),
+    ],
+)
+def test_untrusted_products_that_miss_the_potential_exit_2_at_entry_0_0(
+    tmp_path, capsys, phi, psi
+):
+    # small versions of the dense and the many-term probe files: each
+    # validates by forming phi*psi, whose first entry is not the potential
+    path = tmp_path / "probe.mf"
+    path.write_text(f"potential = 1\nphi = {phi}\npsi = {psi}\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: phi*psi != potential*I, first mismatch at entry (0, 0)\n"
+
+
 def test_syzygy_swaps_factors(capsys):
     code, out, _ = run_cli(capsys, "syzygy", str(SAMPLES / "intro.mf"))
     assert code == 0

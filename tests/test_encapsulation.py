@@ -21,7 +21,7 @@ MATRIX_PRIVATE = re.compile(
     r"\._map\b|\._entries\b|\b(?:_guard|_checked_map|_map_kronecker|_placed|_make_matrix)\b"
 )
 PARSER_PRIVATE = re.compile(r"\b(?:_Tokenizer|_parse_sum)\b")
-KERNEL_PRIVATE = re.compile(r"\b_sum_of_products\b")
+KERNEL_PRIVATE = re.compile(r"\b_packed_product\b")
 
 
 def _uses(pattern):
@@ -53,8 +53,8 @@ def test_polynomial_scanner_stays_in_the_two_parsers():
 
 def test_sum_of_products_kernel_stays_in_the_two_arithmetic_modules():
     uses = _uses(KERNEL_PRIVATE)
-    assert uses.pop("polynomials.py") == ["_sum_of_products"]
-    assert uses.pop("matrices.py") == ["_sum_of_products"]
+    assert uses.pop("polynomials.py") == ["_packed_product"]
+    assert uses.pop("matrices.py") == ["_packed_product"]
     assert uses == {}
 
 

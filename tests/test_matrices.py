@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -349,9 +350,9 @@ _ENTRY = st.sampled_from([ZERO, ONE] + _SIGNED_ENTRIES)
 
 
 @st.composite
-def _dict_matrix(draw, rows, cols):
+def _dict_matrix(draw, rows, cols, entry=_ENTRY):
     return PolyMatrix.from_rows(
-        [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)]
+        [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     )
 
 
@@ -462,6 +463,84 @@ def test_matmul_builds_each_entry_once(monkeypatch):
     assert product.entry(0, 0).is_zero()
     assert len(built) == product.nnz() == 8
     assert product == naive_mat_mul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the packed product kernel: sparse products with multi-term rational entries
+# against the dense oracle
+
+
+# Each entry comes with its negative, so entry sums cancel wholly or in part;
+# the names X < x < x10 < x_1 < é are in code-point, not alphabetical, order.
+_MULTI_TERM = [
+    sign * parse_polynomial(text)
+    for text in (
+        "1/2*x^2*y - 3*y + 2/3",
+        "x*y - 1/4*x^3",
+        "X - x_1*é + 5/2*x10^2",
+        "x^3 + x*é - 7",
+    )
+    for sign in (1, -1)
+]
+_SPARSE_ENTRY = st.one_of(st.just(ZERO), st.sampled_from(_MULTI_TERM + [ONE]))
+
+
+@st.composite
+def _sparse_operands(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(_dict_matrix(n, k, _SPARSE_ENTRY)), draw(_dict_matrix(k, m, _SPARSE_ENTRY))
+
+
+@given(_sparse_operands())
+@example((  # (p, -p) times (p, p)^T: the one entry cancels to zero
+    PolyMatrix.from_rows([[_MULTI_TERM[0], _MULTI_TERM[1]]]),
+    PolyMatrix.from_rows([[_MULTI_TERM[0]], [_MULTI_TERM[0]]]),
+))
+@example((PolyMatrix.from_rows([[_MULTI_TERM[2]]]), PolyMatrix.from_rows([[_MULTI_TERM[7]]])))
+def test_sparse_products_of_multi_term_entries_match_naive(operands):
+    a, b = operands
+    expected = naive_mat_mul(a, b)
+    product = a @ b
+    dense = expected.to_rows()
+    assert product == expected and product.to_rows() == dense
+    assert product.nnz() == sum(not p.is_zero() for row in dense for p in row)
+
+
+def test_one_by_one_products_are_the_polynomial_product():
+    for p in _MULTI_TERM[::3] + [ONE, Polynomial.constant(Fraction(-2, 3))]:
+        for q in _MULTI_TERM[1::3] + [Polynomial.constant(Fraction(3, 2))]:
+            product = PolyMatrix.from_rows([[p]]) @ PolyMatrix.from_rows([[q]])
+            assert product == PolyMatrix.from_rows([[p * q]]) == naive_mat_mul(
+                PolyMatrix.from_rows([[p]]), PolyMatrix.from_rows([[q]])
+            )
+    # 1/2 * 2 is 1: a 1x1 product of constants can land on the map backend
+    half, two = PolyMatrix.from_rows([["1/2"]]), PolyMatrix.from_rows([[2]])
+    assert (half @ two).is_identity()
+
+
+_ELEMENTARY = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(_MULTI_TERM)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(st.integers(2, 4), _ELEMENTARY)
+@example(3, [(0, 1, _MULTI_TERM[0]), (1, 2, _MULTI_TERM[2]), (2, 0, _MULTI_TERM[5])])
+def test_a_unimodular_matrix_times_its_inverse_is_the_identity_map(n, steps):
+    # M is a product of elementary matrices I + c*E_ij (i != j), built with
+    # the dense oracle; its inverse multiplies the I - c*E_ij in reverse order
+    m = m_inv = PolyMatrix.identity(n)
+    for i, j, c in steps:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        step = PolyMatrix(n, n, {(i, j): c, **{(k, k): ONE for k in range(n)}})
+        back = PolyMatrix(n, n, {(i, j): -c, **{(k, k): ONE for k in range(n)}})
+        m, m_inv = naive_mat_mul(step, m), naive_mat_mul(m_inv, back)
+    for product in (m @ m_inv, m_inv @ m):
+        assert product.is_identity()  # stored as range(n), like PolyMatrix.identity
+        assert product == PolyMatrix.identity(n)
 
 
 def test_kronecker_and_doubled_kronecker_match_naive_on_every_backend_pair():

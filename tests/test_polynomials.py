@@ -10,10 +10,11 @@ from mfcat.errors import (
     PolynomialSyntaxError,
 )
 from mfcat.polynomials import (
+    MAX_EXPONENT,
     ONE,
     ZERO,
     Polynomial,
-    _sum_of_products,
+    _packed_product,
     canonical_string,
     parse_polynomial,
     random_polynomial,
@@ -367,7 +368,7 @@ def test_parsed_and_computed_values_agree():
         assert canonical_string(value) == "3/2*x^2 - 4*x*y + 2"
 
 
-# -- the sum-of-products kernel behind * and every matrix product entry -------
+# -- the packed product kernel behind * and every matrix product entry -------
 
 
 def _naive_sum_of_products(pairs) -> Polynomial:
@@ -377,27 +378,39 @@ def _naive_sum_of_products(pairs) -> Polynomial:
     return total
 
 
+def _dot(pairs) -> Polynomial:
+    """The sum of p*q over ``pairs``: a row of the p's times a column of the
+    q's, the one entry of a 1xn by nx1 product."""
+    entries = _packed_product(
+        [(0, k, p) for k, (p, _) in enumerate(pairs)],
+        [(k, 0, q) for k, (_, q) in enumerate(pairs)],
+    )
+    assert set(entries) <= {(0, 0)}
+    return entries.get((0, 0), ZERO)
+
+
 def test_sum_of_products_of_no_pairs_is_zero():
-    assert _sum_of_products([]) is ZERO
-    assert _sum_of_products(iter(())) is ZERO
+    assert _packed_product([], []) == {}
+    assert _packed_product(iter(()), iter(())) == {}
+    assert _dot([]) is ZERO
 
 
 def test_sum_of_products_drops_terms_that_cancel_across_pairs():
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
     # (x + y)x + (x - y)(-x) = 2xy: x^2 cancels across the two pairs
-    partial = _sum_of_products([(x + y, x), (x - y, -x)])
+    partial = _dot([(x + y, x), (x - y, -x)])
     _check_stored_form(partial)
     assert partial == 2 * x * y == _naive_sum_of_products([(x + y, x), (x - y, -x)])
-    # (x + y)(x - y) + y*y - x*x cancels everywhere
-    assert _sum_of_products([(x + y, x - y), (y, y), (-x, x)]) is ZERO
+    # (x + y)(x - y) + y*y - x*x cancels everywhere: the entry is not built
+    assert _dot([(x + y, x - y), (y, y), (-x, x)]) is ZERO
 
 
 def test_sum_of_products_stores_integral_fraction_sums_as_int():
     x = Polynomial.variable("x")
     half, third = Polynomial.constant(Fraction(1, 2)), Polynomial.constant(Fraction(1, 3))
     # 1/2 * 1/2x + 3/4x * 1 = x, and 1/3 * 1/2 + 5/6 * 1 = 1
-    linear = _sum_of_products([(half, half * x), (Fraction(3, 4) * x, ONE)])
-    constant = _sum_of_products([(third, half), (Polynomial.constant(Fraction(5, 6)), ONE)])
+    linear = _dot([(half, half * x), (Fraction(3, 4) * x, ONE)])
+    constant = _dot([(third, half), (Polynomial.constant(Fraction(5, 6)), ONE)])
     for result, expected in ((linear, x), (constant, ONE)):
         _check_stored_form(result)
         assert result == expected and hash(result) == hash(expected)
@@ -410,6 +423,48 @@ def test_sum_of_products_matches_a_sum_of_naive_products(raw_pairs, data):
     # p*q meets -p*q for each drawn pair, so whole products cancel too
     negated = data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
     pairs += [(-p, q) for p, q in negated]
-    result = _sum_of_products(pairs)
+    result = _dot(pairs)
     _check_stored_form(result)
     assert result == _naive_sum_of_products(pairs)
+
+
+def test_packed_digits_do_not_carry_past_the_parser_bound():
+    # arithmetic reaches exponents above MAX_EXPONENT; the largest exponent
+    # of an operand sets the base, so its square still fits in one digit
+    x, y = Polynomial.variable("x", MAX_EXPONENT), Polynomial.variable("y")
+    square = x * x
+    assert square._terms == {(("x", 2 * MAX_EXPONENT),): 1}
+    fourth = square * square
+    assert fourth._terms == {(("x", 4 * MAX_EXPONENT),): 1}
+    mixed = (fourth + x * y - 1) * (square * y - fourth + 1)
+    mixed._audit()  # its canonical form is past the parser bound, so no re-parse
+    assert mixed == naive_mul(fourth + x * y - 1, square * y - fourth + 1)
+
+
+# Code-point order of these names is X < x < x10 < x2 < x_1 < é, which is
+# neither alphabetical nor numeric: products must list them in that order.
+_ODD_NAMES = ("X", "x", "x_1", "x10", "x2", "é")
+_odd_monomials = st.dictionaries(
+    st.sampled_from(_ODD_NAMES), st.integers(1, 4), max_size=4
+).map(lambda exps: tuple(sorted(exps.items())))
+_odd_terms = st.dictionaries(_odd_monomials, _rationals, max_size=4)
+
+
+@given(_odd_terms, _odd_terms)
+def test_products_over_names_out_of_alphabetical_order_match_naive(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    product = p * q
+    _check_stored_form(product)  # re-parses its canonical form, too
+    assert product == naive_mul(p, q) and product.terms == _oracle_mul(p.terms, q.terms)
+
+
+def test_products_with_constants_keep_the_stored_form():
+    x, y = parse_polynomial("x_1 - 1/2*é"), parse_polynomial("X^3 + 2")
+    third, minus_three = Polynomial.constant(Fraction(1, 3)), Polynomial.constant(-3)
+    assert third * minus_three == Polynomial.constant(-1)
+    assert type((third * minus_three)._terms[()]) is int
+    for p, q in ((third, x), (x, minus_three), (x * third, y), (minus_three, ONE)):
+        product = p * q
+        _check_stored_form(product)
+        assert product == naive_mul(p, q) == q * p
+    assert x * ONE is x and ONE * y is y and (x * ZERO) is ZERO
