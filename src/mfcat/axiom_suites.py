@@ -21,8 +21,10 @@ identity morphism between equal objects.  The remaining checks compare the
 non-identity maps (unitors, whiskerings, permutation witnesses) exactly and
 test endomorphisms with ``MfMorphism.is_identity()``.  The e-power sweeps
 build each power once; a pentagon sweep passes when all of its quadruples
-have literally equal vertices.  Every report over many instances follows one
-rule, :func:`_all_held`: its verdict holds exactly when all instances held.
+have literally equal vertices.  Every verdict decided by a comparison follows
+one rule, :func:`_report`: the predicted verdict when the check held, FAIL
+with a failure detail otherwise; a report over many instances held exactly
+when all of its instances held.
 
 Every check is a pure function of its inputs; reports are returned in
 deterministic order.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import AssociativityMismatchError, MfcatError
+from .errors import MfcatError
 from .factorizations import MatrixFactorization, MfMorphism, random_mf1
 from .matrices import PolyMatrix
 from .polynomials import ONE, random_polynomial
@@ -68,9 +70,6 @@ __all__ = [
 ]
 
 
-# Starts the diagram (2)/(3) detail when the witness pair fails validation.
-_NOT_A_MORPHISM = "witness pair is not a morphism"
-
 # Appended to a coherence detail when the bracketed objects are not literally
 # equal: every edge is still an identity matrix pair of the common size, but
 # not a morphism between equal objects, so the paths agree as matrices only.
@@ -82,16 +81,27 @@ def _literal_detail(detail: str, vertices: list[MatrixFactorization]) -> str:
     return detail + ("" if all(v == vertices[0] for v in vertices[1:]) else _MATRIX_LEVEL)
 
 
+def _report(
+    check_id: str, held: bool, detail: str, verdict: str, fail_detail: str,
+    witnesses: tuple[tuple[str, PolyMatrix], ...] = (),
+) -> CheckReport:
+    """``verdict`` with ``detail`` when the check held, FAIL with
+    ``fail_detail`` otherwise."""
+    if held:
+        return CheckReport(check_id, verdict, detail, witnesses)
+    return CheckReport(check_id, FAIL, fail_detail, witnesses)
+
+
 def _all_held(
     check_id: str, held: int, total: int, detail: str, verdict: str = PASS,
     fail_detail: str | None = None,
 ) -> CheckReport:
-    """``verdict`` when all ``total`` instances held, FAIL otherwise.  A FAIL
-    reads ``fail_detail`` if given; both details may name ``{held}`` and
-    ``{total}``."""
-    if held != total:
-        verdict, detail = FAIL, fail_detail or detail
-    return CheckReport(check_id, verdict, detail.format(held=held, total=total))
+    """:func:`_report` on all ``total`` instances having held; ``detail`` also
+    serves a FAIL unless ``fail_detail`` is given, and both may name ``{held}``
+    and ``{total}``."""
+    fail_detail = (fail_detail or detail).format(held=held, total=total)
+    detail = detail.format(held=held, total=total)
+    return _report(check_id, held == total, detail, verdict, fail_detail)
 
 
 def _label(x: MatrixFactorization) -> str:
@@ -205,18 +215,14 @@ def _semiunit_rearrangement(
         return CheckReport(
             check_id,
             FAIL,
-            f"{_NOT_A_MORPHISM}: {exc}",
+            f"witness pair is not a morphism: {exc}",
             witnesses=(("P", witness),),
         )
-    ok = witness.is_permutation_matrix() and forward.compose(top_edge) == direct_edge
-    detail = (
+    return _report(
+        check_id, witness.is_permutation_matrix() and forward.compose(top_edge) == direct_edge,
         f"witness P ({witness.rows}x{witness.cols}) with P*P^t = I; "
-        "(P,P) o top edge == direct edge"
-        if ok
-        else "rearrangement failed"
-    )
-    return CheckReport(
-        check_id, PASS if ok else FAIL, detail, witnesses=(("P", witness),)
+        "(P,P) o top edge == direct edge",
+        PASS, "rearrangement failed", (("P", witness),),
     )
 
 
@@ -263,24 +269,17 @@ def check_triangle(
     # The associator edge a(x)(e(x)b) -> (a(x)e)(x)b contributes identity
     # matrices, so composing with it leaves the matrices of lhs unchanged.
     equal = lhs == rhs
-    expected_pass = a.size == 1
-    if equal and expected_pass:
-        verdict, detail = PASS, "triangle commutes (left object of size 1)"
-    elif not equal and not expected_pass:
-        verdict = XFAIL_OK
-        detail = (
-            f"sides differ for left object of size {a.size} "
-            "(permutation-similar but not equal), as predicted"
+    witnesses = (("lhs_alpha", lhs.alpha), ("rhs_alpha", rhs.alpha))
+    if a.size == 1:
+        return _report(
+            check_id, equal, "triangle commutes (left object of size 1)", PASS,
+            "triangle failed at size-1 left object", witnesses,
         )
-    elif equal:
-        verdict, detail = FAIL, "triangle held unexpectedly for size >= 2"
-    else:
-        verdict, detail = FAIL, "triangle failed at size-1 left object"
-    return CheckReport(
-        check_id,
-        verdict,
-        detail,
-        witnesses=(("lhs_alpha", lhs.alpha), ("rhs_alpha", rhs.alpha)),
+    return _report(
+        check_id, not equal,
+        f"sides differ for left object of size {a.size} "
+        "(permutation-similar but not equal), as predicted",
+        XFAIL_OK, "triangle held unexpectedly for size >= 2", witnesses,
     )
 
 
@@ -363,14 +362,10 @@ def check_right_monoidal_axioms(maxpow: int) -> list[CheckReport]:
         reports += [_ax2_single(a, b), _ax3_single(a, b), _ax4_single(a, b)]
 
     e = e_object()
-    ax5 = rho(e).compose(gamma(e)).is_identity()
-    reports.append(
-        CheckReport(
-            "rm-ax5[e]",
-            PASS if ax5 else FAIL,
-            "rho_e o gamma_e == id_e" if ax5 else "Ax.5 failed",
-        )
-    )
+    reports.append(_report(
+        "rm-ax5[e]", rho(e).compose(gamma(e)).is_identity(),
+        "rho_e o gamma_e == id_e", PASS, "Ax.5 failed",
+    ))
     return reports
 
 
@@ -421,15 +416,12 @@ def check_right_pseudo_monoidal(samples: int, seed: int) -> list[CheckReport]:
     reports: list[CheckReport] = []
 
     _, zeta_prime, zeta, _ = unitors[0]
-    zeta_ok = zeta.compose(zeta_prime).is_identity()
-    reports.append(
-        CheckReport(
-            "rpm-1-zeta-right-inverse",
-            PASS if zeta_ok else FAIL,
-            "zeta o zeta' == id_e, so zeta: e^2 -> e is a retraction",
-            witnesses=(("zeta_alpha", zeta.alpha), ("zeta_prime_alpha", zeta_prime.alpha)),
-        )
-    )
+    reports.append(_report(
+        "rpm-1-zeta-right-inverse", zeta.compose(zeta_prime).is_identity(),
+        "zeta o zeta' == id_e, so zeta: e^2 -> e is a retraction", PASS,
+        "zeta o zeta' != id_e, so zeta' is no right inverse of zeta: e^2 -> e",
+        (("zeta_alpha", zeta.alpha), ("zeta_prime_alpha", zeta_prime.alpha)),
+    ))
 
     lambda_natural = 0
     gamma_natural = 0
@@ -518,22 +510,18 @@ def counterexample_e_not_pseudo_idempotent() -> CheckReport:
         and wrong_way.beta == expected_defect
     )
 
-    confirmed = iso_pairs == 0 and section_ok and wrong_way_ok
-    detail = (
+    failed = [fact for fact, held in (
+        (f"{iso_pairs}/9 candidate pairs are mutually inverse", iso_pairs == 0),
+        ("zeta2 o zeta1 != id_e", section_ok),
+        ("zeta1 o zeta2 != the defect ([[1, 0], [0, 0]], [[1, 0], [0, 0]])", wrong_way_ok),
+    ) if not held]
+    return _report(
+        check_id, not failed,
         "0/9 candidate pairs are mutually inverse; "
-        "zeta2 o zeta1 == id_e but zeta1 o zeta2 != id"
-        if confirmed
-        else f"unexpected outcome: iso_pairs={iso_pairs}"
-    )
-    return CheckReport(
-        check_id,
-        XFAIL_OK if confirmed else FAIL,
-        detail,
-        witnesses=(
-            ("zeta1_alpha", zeta1.alpha),
-            ("zeta2_alpha", zeta2.alpha),
-            ("zeta1_after_zeta2_alpha", wrong_way.alpha),
-        ),
+        "zeta2 o zeta1 == id_e but zeta1 o zeta2 != id",
+        XFAIL_OK, "unexpected outcome: " + "; ".join(failed),
+        (("zeta1_alpha", zeta1.alpha), ("zeta2_alpha", zeta2.alpha),
+         ("zeta1_after_zeta2_alpha", wrong_way.alpha)),
     )
 
 
@@ -545,8 +533,9 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
     Predicted: P'M != MP' for the tensor object's first matrix M, so (P', P')
     is no morphism (XFAIL-OK).  Computed: P'M == MP', as the block swap
     sigma (x) I commutes with M = I_4 (x) K, so (P', P') validates (FAIL).
-    Diagram (2)'s own body supplies P' and the verdict on (P', P'); the only
-    arithmetic of this check is P'M against MP'.
+    Diagram (2)'s own body supplies P' and its verdict; the only arithmetic
+    of this check is P'M against MP'.  As (P', P') is an endomorphism of the
+    tensor object, P'M != MP' makes its validation, hence diagram (2), fail.
     """
     check_id = "counterexample-mf1-not-semiunital"
     a = MatrixFactorization(
@@ -557,34 +546,29 @@ def counterexample_mf1_not_semiunital() -> CheckReport:
     b = e_power(2)
     top = mult_tensor_morph_left(gamma(a), b)
     direct = gamma(mult_tensor(a, b))
-    if top.target != direct.target:  # the leftmost factor is e
-        raise AssociativityMismatchError("(e (x) a) (x) b != e (x) (a (x) b)")
     # Diagram (2) on (a, b): the witness P' and the verdict on (P', P').
     rearranged = _semiunit_rearrangement(check_id, top, direct)
-    if not rearranged.witnesses:
-        return CheckReport(check_id, FAIL, f"unexpected outcome: {rearranged.detail}")
+    if not rearranged.witnesses:  # no permutation witness
+        return rearranged
     witness = rearranged.witnesses[0][1]
     m = top.target.phi
     commutes = witness @ m == m @ witness
-
-    if rearranged.detail.startswith(_NOT_A_MORPHISM) and not commutes:
-        verdict, detail = XFAIL_OK, (
-            "P' rearranges the gamma routes but P'M != MP', so (P',P') fails "
-            "morphism validation"
-        )
-    elif rearranged.verdict == PASS and commutes:
-        # What the arithmetic actually does on this instance: M is the
-        # four-fold block replication I_4 (x) K, the canonical witness is the
-        # block swap sigma (x) I, and block permutations commute with equal
-        # diagonal blocks.  The predicted failure therefore does not occur.
-        verdict, detail = FAIL, (
-            "expected failure did not occur: the canonical witness is the "
-            "block swap sigma(x)I, M is the replicated block-diagonal "
-            "I_4(x)K, so P'M == MP' and (P',P') is a valid morphism"
-        )
-    else:
-        verdict, detail = FAIL, "unexpected outcome"
-    return CheckReport(check_id, verdict, detail, witnesses=(("P_prime", witness), ("M", m)))
+    # What the arithmetic actually does on this instance: M is the four-fold
+    # block replication I_4 (x) K, the canonical witness is the block swap
+    # sigma (x) I, and block permutations commute with equal diagonal blocks.
+    # The predicted failure therefore does not occur.
+    refuted = (
+        "expected failure did not occur: the canonical witness is the "
+        "block swap sigma(x)I, M is the replicated block-diagonal "
+        "I_4(x)K, so P'M == MP' and (P',P') is a valid morphism"
+    )
+    return _report(
+        check_id, rearranged.verdict == FAIL and not commutes,
+        "P' rearranges the gamma routes but P'M != MP', so (P',P') fails "
+        "morphism validation",
+        XFAIL_OK, refuted if rearranged.verdict == PASS and commutes else "unexpected outcome",
+        (("P_prime", witness), ("M", m)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +581,9 @@ def check_syzygy_identity(
     """Swap-then-tensor equals tensor-then-swap, as a literal identity."""
     lhs = mult_tensor(x, y).syzygy()
     rhs = mult_tensor(x.syzygy(), y.syzygy())
-    equal = lhs == rhs
-    return CheckReport(
-        check_id="syzygy-identity",
-        verdict=PASS if equal else FAIL,
-        detail=(
-            "syzygy(X (x) Y) == syzygy(X) (x) syzygy(Y)"
-            if equal
-            else "syzygy identity violated"
-        ),
+    return _report(
+        "syzygy-identity", lhs == rhs, "syzygy(X (x) Y) == syzygy(X) (x) syzygy(Y)",
+        PASS, "syzygy identity violated",
     )
 
 

@@ -80,7 +80,7 @@ def _num(c: Coefficient) -> Coefficient:
 class Polynomial:
     """An immutable multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coefficient]):
         # The public, normalising constructor; arithmetic uses _make instead.
@@ -98,7 +98,6 @@ class Polynomial:
             else:
                 del normalized[monomial]
         self._terms = normalized
-        self._hash = None
         self._audit()
 
     def _audit(self) -> None:
@@ -236,9 +235,7 @@ class Polynomial:
 
     def __hash__(self) -> int:
         # Equal int and Fraction values hash alike, so this hashes by value.
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         return canonical_string(self)
@@ -316,7 +313,6 @@ def _make(terms: dict[Monomial, Coefficient]) -> Polynomial:
     """Wrap ``terms``, already meeting every ``_audit`` invariant, uncopied."""
     p = object.__new__(Polynomial)
     p._terms = terms
-    p._hash = None
     p._audit()
     return p
 

@@ -11,6 +11,7 @@ from mfcat.axiom_suites import (
     check_semiunit_diagram1,
     check_semiunit_diagram2,
     check_semiunit_diagram3,
+    check_syzygy_identity,
     check_triangle,
     counterexample_e_not_pseudo_idempotent,
     counterexample_mf1_not_semiunital,
@@ -235,6 +236,16 @@ def test_counterexample_e_not_pseudo_idempotent():
     assert names["zeta1_after_zeta2_alpha"] == parse_matrix("[[1, 0], [0, 0]]")
 
 
+def _recorded_instance():
+    """The (a, b) of the mf1 counterexample."""
+    a = MatrixFactorization(
+        parse_matrix("[[4, 3], [1, 1]]"),
+        parse_matrix("[[1, -3], [-1, 4]]"),
+        Polynomial.one(),
+    )
+    return a, e_power(2)
+
+
 def test_counterexample_mf1_not_semiunital_reports_honestly():
     # The predicted failure does not occur: the canonical block-swap witness
     # commutes with the replicated block-diagonal M, so the check must say so
@@ -246,27 +257,26 @@ def test_counterexample_mf1_not_semiunital_reports_honestly():
     witness, m = names["P_prime"], names["M"]
     assert witness @ m == m @ witness
     # and the pair really is a valid morphism: diagram (2) commutes here
-    a = MatrixFactorization(
-        parse_matrix("[[4, 3], [1, 1]]"),
-        parse_matrix("[[1, -3], [-1, 4]]"),
-        Polynomial.one(),
-    )
-    assert check_semiunit_diagram2(a, e_power(2)).verdict == PASS
+    assert check_semiunit_diagram2(*_recorded_instance()).verdict == PASS
 
 
 def test_rearrangement_equation_on_recorded_instance():
     # the first half of the counterexample: the witness does rearrange the
     # two gamma routes
-    a = MatrixFactorization(
-        parse_matrix("[[4, 3], [1, 1]]"),
-        parse_matrix("[[1, -3], [-1, 4]]"),
-        Polynomial.one(),
-    )
-    b = e_power(2)
+    a, b = _recorded_instance()
     top = mult_tensor_morph_left(gamma(a), b)
     direct = gamma(mult_tensor(a, b))
     witness = find_permutation_witness(top.alpha, direct.alpha)
     assert witness @ top.alpha == direct.alpha
+
+
+def test_recorded_instance_routes_end_at_one_object():
+    # e has size 1, so (e (x) a) (x) b and e (x) (a (x) b) are literally equal
+    # and (P', P') is an endomorphism of that object.
+    a, b = _recorded_instance()
+    top = mult_tensor_morph_left(gamma(a), b)
+    direct = gamma(mult_tensor(a, b))
+    assert top.target == direct.target
 
 
 def test_suite_all_is_deterministic_and_sorted():
@@ -356,13 +366,14 @@ def _negate_first_nonzero_whiskered_morphism(real):
     return patched
 
 
-def _zero_lambda_at_e(real):
+def _zero_at_e(real):
+    # The unitor at e becomes the zero morphism between the same objects.
     def patched(a):
-        lam = real(a)
+        unitor = real(a)
         if a is not e_object():
-            return lam
-        zero = PolyMatrix.zeros(lam.alpha.rows, lam.alpha.cols)
-        return MfMorphism(lam.source, lam.target, zero, zero)
+            return unitor
+        zero = PolyMatrix.zeros(unitor.alpha.rows, unitor.alpha.cols)
+        return MfMorphism(unitor.source, unitor.target, zero, zero)
 
     return patched
 
@@ -398,7 +409,7 @@ def _fail_first_report(applies):
         ),
         (
             "lambda_",
-            _zero_lambda_at_e,
+            _zero_at_e,
             lambda: check_right_pseudo_monoidal(10, 3),
             {"rpm-4-lambda-gamma-identity": "lambda o gamma == id on 10/11 sampled objects"},
         ),
@@ -440,6 +451,168 @@ def test_one_failing_instance_fails_the_all_instances_report(
     reports = {r.check_id: r for r in run()}
     for check_id, detail in expected.items():
         assert (reports[check_id].verdict, reports[check_id].detail) == (FAIL, detail)
+
+
+def _returns(value):
+    return lambda real: lambda *args: value
+
+
+def _raises(exc):
+    def patch(real):
+        def patched(*args):
+            raise exc
+
+        return patched
+
+    return patch
+
+
+def _zero_components(real):
+    # Every morphism is built with zero components instead of its own.
+    def patched(source, target, alpha, beta):
+        zero = PolyMatrix.zeros(alpha.rows, alpha.cols)
+        return real(source, target, zero, zero)
+
+    return patched
+
+
+def _reverse_later_calls(real):
+    # The first product is taken as asked, every later one in reverse order.
+    calls = []
+
+    def patched(x, y):
+        calls.append((x, y))
+        return real(x, y) if len(calls) == 1 else real(y, x)
+
+    return patched
+
+
+def _permutation(images):
+    """The permutation matrix with a 1 at (i, images[i])."""
+    n = len(images)
+    return PolyMatrix(n, n, {(i, j): Polynomial.one() for i, j in enumerate(images)})
+
+
+def _report_of(check_id, run):
+    return lambda: {r.check_id: r for r in run()}[check_id]
+
+
+# Swaps rows 0 and 2 of the recorded instance's 16x16 objects: it does not
+# commute with M = I_4 (x) K, whose diagonal entries 4 and 1 it exchanges.
+_SWAP_0_2 = _permutation([2, 1, 0, *range(3, 16)])
+_NO_ROW = NotEquivalentError("no row matches")
+
+
+@pytest.mark.parametrize(
+    "target, patch, run, expected",
+    [
+        (
+            "lambda_",
+            _zero_at_e,
+            lambda: check_triangle(e_object(), e_object()),
+            (FAIL, "triangle failed at size-1 left object"),
+        ),
+        (
+            "mult_tensor_morph_left",
+            lambda real: lambda f, b: mult_tensor_morph_right(f.target, lambda_(b)),
+            lambda: check_triangle(e_power(2), e_object()),
+            (FAIL, "triangle held unexpectedly for size >= 2"),
+        ),
+        (
+            "find_permutation_witness",
+            _raises(_NO_ROW),
+            lambda: check_semiunit_diagram2(e_object(), e_object()),
+            (FAIL, "no permutation witness: no row matches"),
+        ),
+        (
+            "find_permutation_witness",
+            _returns(_SWAP_0_2),
+            lambda: check_semiunit_diagram2(*_recorded_instance()),
+            (
+                FAIL,
+                "witness pair is not a morphism: morphism condition fails: phi-square",
+            ),
+        ),
+        (
+            "find_permutation_witness",
+            _returns(PolyMatrix.identity(4)),
+            lambda: check_semiunit_diagram2(e_object(), e_object()),
+            (FAIL, "rearrangement failed"),
+        ),
+        (
+            "gamma",
+            _zero_at_e,
+            _report_of("rm-ax5[e]", lambda: check_right_monoidal_axioms(1)),
+            (FAIL, "Ax.5 failed"),
+        ),
+        (
+            "lambda_",
+            _zero_at_e,
+            _report_of("rpm-1-zeta-right-inverse", lambda: check_right_pseudo_monoidal(0, 0)),
+            (FAIL, "zeta o zeta' != id_e, so zeta' is no right inverse of zeta: e^2 -> e"),
+        ),
+        (
+            "mult_tensor",
+            _reverse_later_calls,
+            lambda: check_syzygy_identity(random_mf1(1, 2, 4), random_mf1(2, 2, 4)),
+            (FAIL, "syzygy identity violated"),
+        ),
+        (
+            "MfMorphism",
+            _zero_components,
+            counterexample_e_not_pseudo_idempotent,
+            (
+                FAIL,
+                "unexpected outcome: zeta2 o zeta1 != id_e; "
+                "zeta1 o zeta2 != the defect ([[1, 0], [0, 0]], [[1, 0], [0, 0]])",
+            ),
+        ),
+        (
+            "find_permutation_witness",
+            _returns(_SWAP_0_2),
+            counterexample_mf1_not_semiunital,
+            (
+                XFAIL_OK,
+                "P' rearranges the gamma routes but P'M != MP', so (P',P') fails "
+                "morphism validation",
+            ),
+        ),
+        (
+            "find_permutation_witness",
+            _returns(PolyMatrix.identity(16)),
+            counterexample_mf1_not_semiunital,
+            (FAIL, "unexpected outcome"),
+        ),
+        (
+            "find_permutation_witness",
+            _raises(_NO_ROW),
+            counterexample_mf1_not_semiunital,
+            (FAIL, "no permutation witness: no row matches"),
+        ),
+    ],
+    ids=[
+        "triangle-at-size-1",
+        "triangle-beyond-size-1",
+        "rearrangement-no-witness",
+        "rearrangement-not-a-morphism",
+        "rearrangement-failed",
+        "rm-ax5",
+        "rpm-1",
+        "syzygy-identity",
+        "counterexample-e",
+        "mf1-counterexample-confirmed",
+        "mf1-counterexample-unexpected",
+        "mf1-counterexample-no-witness",
+    ],
+)
+def test_every_verdict_branch(monkeypatch, target, patch, run, expected):
+    # Each single-instance check reaches the verdict and detail of a branch
+    # that the pinned data never takes once one step is patched.
+    import mfcat.axiom_suites as suites
+
+    monkeypatch.setattr(suites, target, patch(getattr(suites, target)))
+    report = run()
+    assert (report.verdict, report.detail) == expected
 
 
 def test_pseudo_monoidal_check_builds_each_objects_unitors_once(monkeypatch):

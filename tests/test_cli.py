@@ -516,16 +516,29 @@ def test_structured_suite_with_a_random_pool_matches_pinned_report(capsys):
     assert out.encode("utf-8") == fixture.read_bytes()
 
 
-def test_suite_output_is_unchanged_under_python_O():
-    # -O strips assert statements, so no check may rest on one.
+def test_default_structured_suite_matches_pinned_report(capsys):
+    # The defaults are the only configuration whose witnesses reach e^4 and
+    # e^5 (the rm-ax2 and triangle sides) next to the 51-object pool.
+    fixture = DATA / "suite_all_maxpow5_samples50_seed0_structured.json"
+    code, out, _ = run_cli(capsys, "suite", "all", "--format", "structured")
+    assert code == 1
+    assert out.encode("utf-8") == fixture.read_bytes()
+
+
+def _subprocess_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_suite_output_is_unchanged_under_python_O():
+    # -O strips assert statements, so no check may rest on one.
     result = subprocess.run(
         [sys.executable, "-O", "-m", "mfcat", "suite", "all", "--maxpow", "2",
          "--samples", "3", "--seed", "0"],
         capture_output=True,
-        env=env,
+        env=_subprocess_env(),
     )
     assert result.returncode == 1
     assert result.stderr == b""
@@ -543,6 +556,7 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "mfcat", "validate", str(SAMPLES / "intro.mf")],
         capture_output=True,
         text=True,
+        env=_subprocess_env(),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("PASS validate")
