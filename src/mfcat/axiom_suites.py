@@ -35,9 +35,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import MfcatError
+from .errors import MfcatError, SizeGuardError
 from .factorizations import MatrixFactorization, MfMorphism, random_mf1
-from .matrices import PolyMatrix
+from .matrices import MAX_SIDE, PolyMatrix
 from .polynomials import ONE, random_polynomial
 from .reporting import FAIL, PASS, XFAIL_OK, CheckReport
 from .t_subcategory import (
@@ -158,6 +158,20 @@ def _pentagon_sweep(powers: list[MatrixFactorization]) -> tuple[int, int]:
     """(quadruples with literally equal vertices, quadruples checked)."""
     details = [check_pentagon(*q).detail for q in itertools.product(powers, repeat=4)]
     return sum(not d.endswith(_MATRIX_LEVEL) for d in details), len(details)
+
+
+# The largest maxpow whose pentagon vertices, of side 8 * 16^(maxpow-1), fit MAX_SIDE.
+_MAX_MAXPOW = 1 + (MAX_SIDE.bit_length() - 4) // 4
+
+
+def _e_powers(maxpow: int) -> list[MatrixFactorization]:
+    if maxpow < 1:
+        raise MfcatError("maxpow must be at least 1")
+    if maxpow > _MAX_MAXPOW:
+        raise SizeGuardError(
+            f"maxpow {maxpow} exceeds the size guard (largest supported is {_MAX_MAXPOW})"
+        )
+    return [e_power(k) for k in range(1, maxpow + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +364,10 @@ def check_right_monoidal_axioms(maxpow: int) -> list[CheckReport]:
     vertices; Ax.2 must fail for every pair, with the two sides
     row-permutation equivalent but not equal; Ax.3 and Ax.4 are reported as
     computed: Ax.4 holds exactly when the left object is e, and Ax.3 is
-    XFAIL-OK on every pair, (e, e) included; Ax.5 holds.
+    XFAIL-OK on every pair, (e, e) included; Ax.5 holds.  ``maxpow`` below 1
+    raises ``MfcatError``, above 5 ``SizeGuardError``.
     """
-    powers = [e_power(k) for k in range(1, maxpow + 1)]
+    powers = _e_powers(maxpow)
     reports = [_all_held(
         f"rm-ax1[maxpow={maxpow}]",
         *_pentagon_sweep(powers),
@@ -374,6 +389,8 @@ def check_right_monoidal_axioms(maxpow: int) -> list[CheckReport]:
 
 
 def _sample_pool(samples: int, seed: int) -> list[MatrixFactorization]:
+    if samples < 0:
+        raise MfcatError("samples must be non-negative")
     rng = random.Random(seed)
     pool = [e_object()]
     for _ in range(samples):
@@ -407,7 +424,8 @@ def check_right_pseudo_monoidal(samples: int, seed: int) -> list[CheckReport]:
     """The retraction-unitor structure on MF(1), verified on e plus a seeded
     pool of random objects: the counit zeta has a right inverse, lambda and
     gamma are natural, lambda o gamma is the identity, rho equals lambda, and
-    the triangle holds at e while failing confirmed at every larger size."""
+    the triangle holds at e while failing confirmed at every larger size.
+    A negative ``samples`` raises ``MfcatError``."""
     rng = random.Random(seed ^ 0x5EED)
     pool = _sample_pool(samples, seed)
     e = pool[0]
@@ -598,9 +616,13 @@ def suite_all(
 
     Reports are sorted by check id; the aggregate is a pass exactly when no
     report carries the ``fail`` verdict (see :func:`mfcat.reporting.aggregate_ok`).
+    Before any check runs, ``maxpow`` below 1 or a negative ``samples`` raises
+    ``MfcatError``, and ``maxpow`` above 5 ``SizeGuardError``.
     """
     reports: list[CheckReport] = []
-    powers = [e_power(k) for k in range(1, maxpow + 1)]
+    powers = _e_powers(maxpow)
+    # Built first, so a negative ``samples`` is rejected before any check runs.
+    pool = _sample_pool(min(samples, 25), seed + 1)
     for a, b in itertools.product(powers, repeat=2):
         reports += [
             check_semiunit_diagram1(a, b),
@@ -619,7 +641,6 @@ def suite_all(
     reports.append(counterexample_e_not_pseudo_idempotent())
     reports.append(counterexample_mf1_not_semiunital())
 
-    pool = _sample_pool(min(samples, 25), seed + 1)
     rng = random.Random(seed + 2)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(len(pool))]
     syzygy_ok = sum(check_syzygy_identity(x, y).verdict == PASS for x, y in pairs)

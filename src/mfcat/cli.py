@@ -13,7 +13,8 @@ Factorization files use the line-oriented format ``potential = ...``,
 one line per check (``PASS|FAIL|XFAIL-OK <check_id> <detail>``) or, with
 ``--format structured``, a JSON document with the same content.
 
-Exit codes: 0 all passed, 1 at least one FAIL verdict, 2 bad input.
+Exit codes: 0 all passed, 1 at least one FAIL verdict, 2 bad input, out-of-range
+arguments included: the library functions the commands call reject those.
 """
 
 from __future__ import annotations
@@ -30,15 +31,9 @@ from .factorizations import (
     factorization_from_text,
     factorization_to_text,
 )
-from .matrices import MAX_SIDE
 from .reporting import aggregate_ok
 from .t_subcategory import e_power
 from .tensor_products import mult_tensor, yoshino_tensor
-
-# Largest pentagon vertex is 8 * (2^(maxpow-1))^4; keep it inside the guard.
-_MAXPOW_LIMIT = 1
-while 8 * (1 << (4 * _MAXPOW_LIMIT)) <= MAX_SIDE:
-    _MAXPOW_LIMIT += 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,20 +47,24 @@ def _build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="validate a factorization file")
     validate.add_argument("file", type=Path)
     validate.add_argument("--format", choices=("text", "structured"), default="text")
+    validate.set_defaults(run=_cmd_validate)
 
     tensor = sub.add_parser("tensor", help="tensor two factorization files")
     tensor.add_argument("--mode", choices=("mult", "yoshino"), default="mult")
     tensor.add_argument("first", type=Path)
     tensor.add_argument("second", type=Path)
     tensor.add_argument("--output", type=Path)
+    tensor.set_defaults(run=_cmd_tensor)
 
     syz = sub.add_parser("syzygy", help="swap the two factors of a factorization")
     syz.add_argument("file", type=Path)
     syz.add_argument("--output", type=Path)
+    syz.set_defaults(run=_cmd_syzygy)
 
     epw = sub.add_parser("epower", help="emit the n-th tensor power of ([1],[1])")
     epw.add_argument("n", type=int)
     epw.add_argument("--output", type=Path)
+    epw.set_defaults(run=_cmd_epower)
 
     suite = sub.add_parser("suite", help="run the check suites")
     suite.add_argument("which", choices=("all",))
@@ -74,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--format", choices=("text", "structured"), default="text")
     suite.add_argument("--output", type=Path)
+    suite.set_defaults(run=_cmd_suite)
 
     return parser
 
@@ -133,22 +133,11 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_epower(args) -> int:
-    if args.n < 1:
-        raise MfcatError("epower requires n >= 1")
     _emit(factorization_to_text(e_power(args.n)), args.output)
     return 0
 
 
 def _cmd_suite(args) -> int:
-    if args.maxpow < 1:
-        raise MfcatError("--maxpow must be at least 1")
-    if args.maxpow > _MAXPOW_LIMIT:
-        raise MfcatError(
-            f"--maxpow {args.maxpow} exceeds the size guard "
-            f"(largest supported is {_MAXPOW_LIMIT})"
-        )
-    if args.samples < 0:
-        raise MfcatError("--samples must be non-negative")
     reports = suite_all(maxpow=args.maxpow, samples=args.samples, seed=args.seed)
     passed = aggregate_ok(reports)
     if args.format == "structured":
@@ -171,17 +160,9 @@ def _cmd_suite(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "validate": _cmd_validate,
-        "tensor": _cmd_tensor,
-        "syzygy": _cmd_syzygy,
-        "epower": _cmd_epower,
-        "suite": _cmd_suite,
-    }[args.command]
+    args = _build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.run(args)
     except (MfcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,8 +68,6 @@ class MatrixFactorization:
             raise SizeMismatchError(
                 f"phi is {phi.rows}x{phi.cols} but psi is {psi.rows}x{psi.cols}"
             )
-        if not isinstance(potential, Polynomial):
-            potential = Polynomial.constant(potential)
         mismatch = _first_mismatch(phi @ psi, potential)
         if mismatch is not None:
             raise ProductMismatchError("phi*psi", mismatch)

@@ -57,8 +57,8 @@ from .errors import (
 from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _Tokenizer, parse_polynomial
 from .polynomials import _packed_product
 
-# Tensor powers of the trivial factorization reach side 2**19 in the largest
-# check-suite configuration; one extra power of two of headroom.
+# The largest check suite (its maxpow cap is derived from this guard by
+# ``axiom_suites._e_powers``) reaches side 2**19; one power of two of headroom.
 MAX_SIDE = 1 << 20
 
 # Matrix literals are dense: every zero is printed.  Beyond this many entries

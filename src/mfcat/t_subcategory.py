@@ -26,7 +26,7 @@ validated once.
 
 from __future__ import annotations
 
-from .errors import AssociativityMismatchError, NotEquivalentError, SizeGuardError
+from .errors import AssociativityMismatchError, MfcatError, NotEquivalentError, SizeGuardError
 from .factorizations import MatrixFactorization, MfMorphism
 from .matrices import MAX_SIDE, PolyMatrix
 from .polynomials import ONE
@@ -42,9 +42,11 @@ def e_object() -> MatrixFactorization:
 
 
 def e_power(n: int) -> MatrixFactorization:
-    """The n-th multiplicative tensor power of e: (I_{2^(n-1)}, I_{2^(n-1)})."""
+    """The n-th multiplicative tensor power of e: (I_{2^(n-1)}, I_{2^(n-1)}).
+
+    Raises ``MfcatError`` for n < 1, ``SizeGuardError`` for 2^(n-1) > ``MAX_SIDE``."""
     if n < 1:
-        raise ValueError("e_power requires n >= 1")
+        raise MfcatError("e_power requires n >= 1")
     # Checked on n itself (n > bit_length means 2^(n-1) > MAX_SIDE): for huge
     # n the side is too large to build, let alone to format in a message.
     if n > MAX_SIDE.bit_length():

@@ -17,7 +17,7 @@ from mfcat.axiom_suites import (
     counterexample_mf1_not_semiunital,
     suite_all,
 )
-from mfcat.errors import NotEquivalentError
+from mfcat.errors import MfcatError, NotEquivalentError, SizeGuardError
 from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
 from mfcat.matrices import PolyMatrix, parse_matrix
 from mfcat.polynomials import Polynomial
@@ -304,6 +304,42 @@ def test_suite_verdicts_by_family():
     assert by_id["triangle[e^2,e^2]"].verdict == XFAIL_OK
     assert by_id["counterexample-e-not-pseudo-idempotent"].verdict == XFAIL_OK
     assert by_id[f"syzygy-identity[random,pairs=6]"].verdict == PASS
+
+
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (lambda: suite_all(0), MfcatError, "maxpow must be at least 1"),
+        (
+            lambda: suite_all(6),
+            SizeGuardError,
+            "maxpow 6 exceeds the size guard (largest supported is 5)",
+        ),
+        (lambda: suite_all(5, -1), MfcatError, "samples must be non-negative"),
+        (lambda: check_right_monoidal_axioms(0), MfcatError, "maxpow must be at least 1"),
+        (lambda: check_right_pseudo_monoidal(-1, 0), MfcatError, "samples must be non-negative"),
+    ],
+    ids=["suite-maxpow0", "suite-maxpow6", "suite-samples-1", "rm-maxpow0", "rpm-samples-1"],
+)
+def test_out_of_range_arguments_raise_before_any_check(monkeypatch, run, error, message):
+    # A bad maxpow or samples is rejected up front: no sweep runs first and
+    # then stops on an error that does not name the argument.
+    import mfcat.axiom_suites as suites
+
+    calls = []
+
+    def counted(name, real):
+        def check(*args):
+            calls.append(name)
+            return real(*args)
+        return check
+
+    for name in ("check_pentagon", "check_semiunit_diagram1", "check_triangle"):
+        monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
+    with pytest.raises(error) as info:
+        run()
+    assert str(info.value) == message
+    assert calls == []
 
 
 def test_pentagon_sweeps_fail_when_a_quadruple_differs_at_matrix_level(monkeypatch):

@@ -1,0 +1,56 @@
+"""Every error the library raises is an :class:`~mfcat.errors.MfcatError`.
+
+The CLI turns exactly those errors into exit code 2, and callers tell library
+failures from programming errors by them.  A ``raise`` in ``src/`` that names
+any other class is a programming error (a misuse of a value's own API) and is
+listed in ``PROGRAMMING_ERRORS`` with the reason it stays, keyed by the
+enclosing function and the raised class.  The modules are read as text;
+only the error hierarchy is imported.
+"""
+
+import ast
+from pathlib import Path
+
+from mfcat import errors
+from mfcat.errors import MfcatError
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mfcat"
+
+PROGRAMMING_ERRORS = {
+    ("_coerce_entry", "TypeError"): "a matrix entry of a type that is no polynomial or number",
+    ("PolyMatrix.entry", "IndexError"): "an index outside the matrix, as for a sequence",
+    ("Polynomial.variable", "ValueError"): "a negative exponent, as for a number",
+    ("Polynomial.constant_value", "ValueError"): "the value of a non-constant polynomial",
+}
+
+
+def _raised() -> set[tuple[str, str]]:
+    """(enclosing ``function`` or ``Class.method``, raised class) for every
+    ``raise`` in ``src/`` that names one; a bare re-raise names none."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.add((".".join(scope), ast.unparse(exc)))
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_every_raise_is_a_library_error_or_a_listed_programming_error():
+    stray = {
+        (where, name) for where, name in _raised()
+        if not issubclass(getattr(errors, name, Exception), MfcatError)
+    }
+    assert sorted(stray - set(PROGRAMMING_ERRORS)) == []
+
+
+def test_programming_errors_lists_only_raises_that_exist():
+    assert sorted(set(PROGRAMMING_ERRORS) - _raised()) == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mfcat.errors import AssociativityMismatchError, NotEquivalentError
+from mfcat.errors import AssociativityMismatchError, MfcatError, NotEquivalentError
 from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
 from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
 from mfcat.polynomials import Polynomial
@@ -54,6 +54,13 @@ def test_e_object_is_one_shared_value():
     assert e_object() is e_object()
     eye = PolyMatrix.identity(1)
     assert e_object() == MatrixFactorization(eye, eye, Polynomial.one())
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_e_power_below_1_is_a_library_error(n):
+    with pytest.raises(MfcatError) as info:
+        e_power(n)
+    assert str(info.value) == "e_power requires n >= 1"
 
 
 def test_is_e_power():
