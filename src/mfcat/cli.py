@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .axiom_suites import suite_all
-from .errors import MfcatError, MfFileError
+from .errors import MfcatError
 from .factorizations import (
     MatrixFactorization,
     factorization_from_text,
@@ -79,16 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_factorization(path: Path) -> MatrixFactorization:
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Line numbering matches factorization_from_text (str.splitlines).
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise MfFileError(
-            f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line
-        ) from None
-    return factorization_from_text(text)
+    return factorization_from_text(path.read_bytes())
 
 
 def _emit(text: str, output: Path | None) -> None:

@@ -21,6 +21,7 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 import random
+import re
 
 from .errors import (
     ComposabilityError,
@@ -243,8 +244,15 @@ def factorization_to_text(x: MatrixFactorization) -> str:
     return f"potential = {x.potential}\nphi = {phi}\npsi = {psi}\n"
 
 
-def factorization_from_text(text: str) -> MatrixFactorization:
-    """Parse the line-oriented factorization format; validation included."""
+def factorization_from_text(text: str | bytes) -> MatrixFactorization:
+    """Parse the line-oriented factorization format; validation included.
+    Bytes are read as UTF-8; an invalid byte is reported before any other error."""
+    if isinstance(text, bytes):
+        # surrogateescape decodes each invalid byte b to chr(0xDC00 + b).
+        text = text.decode("utf-8", "surrogateescape")
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if bad := re.search("[\udc80-\udcff]", raw):
+                raise MfFileError(f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}", lineno)
     fields: dict[str, object] = {}
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):

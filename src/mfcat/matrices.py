@@ -55,7 +55,7 @@ from .errors import (
     SizeGuardError,
 )
 from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _Tokenizer, parse_polynomial
-from .polynomials import _packed_product
+from .polynomials import _coerce, _packed_product
 
 # The largest check suite (its maxpow cap is derived from this guard by
 # ``axiom_suites._e_powers``) reaches side 2**19; one power of two of headroom.
@@ -80,13 +80,11 @@ def _guard(rows: int, cols: int) -> None:
 
 
 def _coerce_entry(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    if isinstance(value, str):
-        return parse_polynomial(value)
-    raise TypeError(f"cannot use {value!r} as a matrix entry")
+    # The number rule, plus one case of its own: a string is a literal.
+    p = parse_polynomial(value) if isinstance(value, str) else _coerce(value)
+    if p is None:
+        raise TypeError(f"cannot use {value!r} as a matrix entry")
+    return p
 
 
 def _checked_map(rows: int, cols: int, column_rows: ColumnMap) -> ColumnMap:

@@ -5,7 +5,12 @@ coefficients, stored as ``int`` while integral and as ``Fraction`` only when
 the denominator is not 1 (the public :attr:`Polynomial.terms` always reports
 ``Fraction`` values).  A monomial is a tuple of ``(variable, exponent)`` pairs
 with strictly positive integer exponents; the empty tuple is the constant
-monomial.  The zero polynomial has an empty term mapping.
+monomial.  The zero polynomial has an empty term mapping.  The public
+constructor reads a term as the grammar does (a variable's exponents add up,
+zero exponents vanish) and a number as arithmetic does (an ``int`` or a
+``Fraction``, never a float or a string).  It raises ``ValueError`` for a name
+the scanner would not read whole or an exponent that is not a non-negative
+int, and ``TypeError`` for a coefficient that is not an exact rational.
 
 All arithmetic is exact, so equality of polynomials is decidable and reliable;
 this is what makes every "diagram commutes" check in the rest of the library a
@@ -65,9 +70,12 @@ MAX_EXPONENT = 10**6
 Coefficient = int | Fraction
 
 
-def _sort_monomial(pairs: Iterable[tuple[str, int]]) -> Monomial:
-    # A monomial names each variable once, so sorting the pairs sorts by name.
-    return tuple(sorted(pairs))
+def _monomial(pairs: Iterable[tuple[str, int]]) -> Monomial:
+    """The term rule: a variable's exponents add up, zeros vanish, names sort."""
+    exponents: dict[str, int] = {}
+    for var, exp in pairs:
+        exponents[var] = exponents.get(var, 0) + exp
+    return tuple(sorted((var, exp) for var, exp in exponents.items() if exp))
 
 
 def _num(c: Coefficient) -> Coefficient:
@@ -83,26 +91,26 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coefficient]):
-        # The public, normalising constructor; arithmetic uses _make instead.
+        # The public, checking constructor; arithmetic uses _make instead.
         normalized: dict[Monomial, Coefficient] = {}
         for monomial, coefficient in terms.items():
-            coefficient = Fraction(coefficient)
-            if coefficient == 0:
-                continue
-            monomial = _sort_monomial(
-                (var, exp) for var, exp in monomial if exp != 0
-            )
-            total = normalized.get(monomial, 0) + coefficient
+            for var, exp in monomial:
+                if not isinstance(var, str) or _Tokenizer(var).take_name() != var:
+                    raise ValueError(f"not a variable name: {var!r}")
+                if not isinstance(exp, int) or exp < 0:
+                    raise ValueError(f"exponent of {var} is not a non-negative int: {exp!r}")
+            monomial = _monomial(monomial)
+            total = normalized.get(monomial, 0) + Polynomial.constant(coefficient)._terms.get((), 0)
             if total:
                 normalized[monomial] = _num(total)
             else:
-                del normalized[monomial]
+                normalized.pop(monomial, None)
         self._terms = normalized
         self._audit()
 
     def _audit(self) -> None:
         # Internal invariant hook: no zero coefficients, integral values
-        # stored as int, positive exponents, monomials sorted by variable name.
+        # stored as int, positive exponents, each variable once, in name order.
         for monomial, coefficient in self._terms.items():
             assert coefficient != 0, "stored zero coefficient"
             assert type(coefficient) is int or (
@@ -110,7 +118,7 @@ class Polynomial:
             ), "integral coefficient not stored as int"
             assert all(exp > 0 for _, exp in monomial), "non-positive exponent"
             names = [var for var, _ in monomial]
-            assert names == sorted(names), "monomial not in name order"
+            assert names == sorted(set(names)), "monomial not in name order"
 
     # -- constructors -------------------------------------------------------
 
@@ -124,14 +132,13 @@ class Polynomial:
 
     @staticmethod
     def constant(value: int | Fraction) -> "Polynomial":
-        return Polynomial({(): Fraction(value)})
+        p = None if isinstance(value, Polynomial) else _coerce(value)
+        if p is None:
+            raise TypeError(f"not an int or a Fraction: {value!r}")
+        return p
 
     @staticmethod
     def variable(name: str, exponent: int = 1) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        if exponent == 0:
-            return ONE
         return Polynomial({((name, exponent),): 1})
 
     # -- queries -------------------------------------------------------------
@@ -166,15 +173,8 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other: object) -> "Polynomial | None":
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other)
-        return None
-
     def __add__(self, other: object) -> "Polynomial":
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is None:
             return NotImplemented
         if not rhs._terms:
@@ -196,19 +196,19 @@ class Polynomial:
         return _make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "Polynomial":
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
 
     def __rsub__(self, other: object) -> "Polynomial":
-        lhs = self._coerce(other)
+        lhs = _coerce(other)
         if lhs is None:
             return NotImplemented
         return lhs - self
 
     def __mul__(self, other: object) -> "Polynomial":
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is None:
             return NotImplemented
         lhs_terms, rhs_terms = self._terms, rhs._terms
@@ -227,9 +227,8 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         return self._terms == other._terms
 
@@ -242,6 +241,17 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({canonical_string(self)!r})"
+
+
+def _coerce(value: object) -> Polynomial | None:
+    """The number rule: a ``Polynomial`` as it is, an ``int`` or a ``Fraction``
+    as a constant (a ``bool`` as the int it equals), anything else ``None``."""
+    if isinstance(value, Polynomial):
+        return value
+    if not isinstance(value, (int, Fraction)):
+        return None
+    value = _num(value) if isinstance(value, Fraction) else int(value)
+    return _make({(): value}) if value else ZERO
 
 
 def _packed_product(
@@ -456,8 +466,7 @@ def _parse_term(tok: _Tokenizer) -> tuple[Monomial, Coefficient]:
             )
         exponents[name] = exponent
         if not tok.take_symbol("*"):
-            monomial = _sort_monomial((v, e) for v, e in exponents.items() if e)
-            return monomial, coefficient
+            return _monomial(exponents.items()), coefficient
 
 
 def _parse_sum(tok: _Tokenizer) -> Polynomial:
@@ -510,11 +519,7 @@ def random_polynomial(
         while coefficient == 0:
             coefficient = rng.randint(-_RANDOM_COEFFICIENT_BOUND, _RANDOM_COEFFICIENT_BOUND)
         degree = rng.randint(0, max_degree)
-        exponents: dict[str, int] = {}
-        for _ in range(degree):
-            var = rng.choice(_RANDOM_VARIABLES)
-            exponents[var] = exponents.get(var, 0) + 1
-        monomial = _sort_monomial(exponents.items())
+        monomial = _monomial((rng.choice(_RANDOM_VARIABLES), 1) for _ in range(degree))
         terms[monomial] = terms.get(monomial, 0) + coefficient
     total = Polynomial(terms)
     if not allow_zero and total.is_zero():

@@ -4,7 +4,8 @@
 entries (``_entries``), and only :mod:`mfcat.matrices` may read either or
 call its private helpers; the polynomial scanner is shared by
 :mod:`mfcat.polynomials` and the matrix-literal parser alone, and the
-sum-of-products kernel by ``*`` and the matrix product alone; verdicts
+sum-of-products kernel by ``*`` and the matrix product alone, and the
+number rule by polynomial arithmetic and matrix entries alone; verdicts
 (:mod:`mfcat.reporting`) by the check layer and the CLI alone.  A module
 that reached past these lines would tie itself to one backend and could
 build values the constructor never checked.  The modules are read as text,
@@ -22,6 +23,7 @@ MATRIX_PRIVATE = re.compile(
 )
 PARSER_PRIVATE = re.compile(r"\b(?:_Tokenizer|_parse_sum)\b")
 KERNEL_PRIVATE = re.compile(r"\b_packed_product\b")
+NUMBER_RULE = re.compile(r"\b_coerce\b")
 
 
 def _uses(pattern):
@@ -55,6 +57,13 @@ def test_sum_of_products_kernel_stays_in_the_two_arithmetic_modules():
     uses = _uses(KERNEL_PRIVATE)
     assert uses.pop("polynomials.py") == ["_packed_product"]
     assert uses.pop("matrices.py") == ["_packed_product"]
+    assert uses == {}
+
+
+def test_number_rule_stays_in_the_two_arithmetic_modules():
+    uses = _uses(NUMBER_RULE)
+    assert uses.pop("polynomials.py") == ["_coerce"]
+    assert uses.pop("matrices.py") == ["_coerce"]
     assert uses == {}
 
 

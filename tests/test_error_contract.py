@@ -4,8 +4,10 @@ The CLI turns exactly those errors into exit code 2, and callers tell library
 failures from programming errors by them.  A ``raise`` in ``src/`` that names
 any other class is a programming error (a misuse of a value's own API) and is
 listed in ``PROGRAMMING_ERRORS`` with the reason it stays, keyed by the
-enclosing function and the raised class.  The modules are read as text;
-only the error hierarchy is imported.
+enclosing function and the raised class.  ``python -O`` strips ``assert``
+statements, so no check in ``src/`` may be one: only the internal invariant
+hook ``Polynomial._audit`` asserts.  The modules are read as text; only the
+error hierarchy is imported.
 """
 
 import ast
@@ -19,28 +21,38 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mfcat"
 PROGRAMMING_ERRORS = {
     ("_coerce_entry", "TypeError"): "a matrix entry of a type that is no polynomial or number",
     ("PolyMatrix.entry", "IndexError"): "an index outside the matrix, as for a sequence",
-    ("Polynomial.variable", "ValueError"): "a negative exponent, as for a number",
+    ("Polynomial.__init__", "ValueError"): "a variable the scanner would not read as one "
+    "whole name, or an exponent that is not a non-negative int",
+    ("Polynomial.constant", "TypeError"): "a coefficient that is no exact rational (a float "
+    "or a string), as for int()",
     ("Polynomial.constant_value", "ValueError"): "the value of a non-constant polynomial",
 }
+
+
+def _scoped_nodes():
+    """(enclosing ``function`` or ``Class.method``, node) for every AST node
+    in ``src/`` that is not itself a class or function definition."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from visit(child, scope + [child.name])
+                continue
+            yield ".".join(scope), child
+            yield from visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text()), [])
 
 
 def _raised() -> set[tuple[str, str]]:
     """(enclosing ``function`` or ``Class.method``, raised class) for every
     ``raise`` in ``src/`` that names one; a bare re-raise names none."""
     found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                found.add((".".join(scope), ast.unparse(exc)))
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), [])
+    for where, node in _scoped_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.add((where, ast.unparse(exc)))
     return found
 
 
@@ -54,3 +66,8 @@ def test_every_raise_is_a_library_error_or_a_listed_programming_error():
 
 def test_programming_errors_lists_only_raises_that_exist():
     assert sorted(set(PROGRAMMING_ERRORS) - _raised()) == []
+
+
+def test_only_the_invariant_hook_asserts():
+    asserting = {where for where, node in _scoped_nodes() if isinstance(node, ast.Assert)}
+    assert asserting == {"Polynomial._audit"}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mfcat.errors import (
     ComposabilityError,
@@ -257,6 +258,33 @@ def test_factorization_file_errors():
     assert info.value.line == 2
     with pytest.raises(MfFileError):
         factorization_from_text("potential 1\nphi = [[1]]\npsi = [[1]]\n")
+
+
+# Byte chunks with every kind of line break str.splitlines knows of (\r\n,
+# \x1c, NEL, U+2028), valid multibyte characters and invalid bytes.
+_MF_BYTES = st.lists(
+    st.sampled_from(
+        [b"\n", b"\r", b"\r\n", b"\x1c", b"\xc2\x85", b"\xe2\x80\xa8", b"x = 1",
+         b"\xc3\xa9", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xb3\xbf"]
+    ),
+    max_size=12,
+).map(b"".join)
+
+
+@given(_MF_BYTES)
+def test_invalid_utf8_is_reported_at_its_line(data):
+    # The oracle numbers lines as str.splitlines does on the valid prefix.
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        with pytest.raises(MfFileError) as info:
+            factorization_from_text(data)
+        assert str(info.value) == f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
+    else:
+        with pytest.raises(MfFileError) as info:
+            factorization_from_text(data)
+        assert "UTF-8" not in str(info.value)
 
 
 def test_invalid_factorization_file_propagates_validation_error():

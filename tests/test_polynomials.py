@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,11 +18,14 @@ from mfcat.polynomials import (
     ONE,
     ZERO,
     Polynomial,
+    _make,
     _packed_product,
     canonical_string,
     parse_polynomial,
     random_polynomial,
 )
+
+from mfcat.matrices import PolyMatrix
 
 from support import naive_mul
 
@@ -143,6 +150,59 @@ def test_single_build_parse_matches_term_by_term_fold(negate_first, first, rest)
     parsed = parse_polynomial(text)
     assert parsed == expected and hash(parsed) == hash(expected)
     assert canonical_string(parsed) == canonical_string(expected)
+
+
+@given(st.lists(_TERM, min_size=1, max_size=6))
+def test_constructor_reads_a_term_as_the_parser_does(terms):
+    # Raw monomials repeat variables, carry zero exponents and are unsorted.
+    raw = {}
+    for coefficient, factors in terms:
+        raw[tuple(factors)] = raw.get(tuple(factors), 0) + (1 if coefficient is None else coefficient)
+    p = Polynomial(raw)
+    assert p == parse_polynomial(" + ".join(map(_render_term, terms)))
+    assert parse_polynomial(str(p)) == p
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Polynomial.variable("2x"), ValueError),
+        (lambda: Polynomial.variable(" x"), ValueError),
+        (lambda: Polynomial.variable("_x"), ValueError),
+        (lambda: Polynomial.variable(""), ValueError),
+        (lambda: Polynomial.variable("x", -1), ValueError),
+        (lambda: Polynomial({(("x", 1.5),): 1}), ValueError),
+        (lambda: Polynomial({(("x", 1),): 0.1}), TypeError),
+        (lambda: Polynomial({(): "1/3"}), TypeError),
+        (lambda: Polynomial.constant(0.1), TypeError),
+        (lambda: PolyMatrix.from_rows([[0.1]]), TypeError),
+    ],
+    ids=["2x", "space-x", "underscore-x", "empty-name", "exponent-1", "exponent-1.5",
+         "float-coefficient", "str-coefficient", "float-constant", "float-entry"],
+)
+def test_constructor_rejects_what_the_parser_would_not_read(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_constructor_rejects_a_negative_exponent_under_python_O():
+    # -O strips asserts, so the rejection must not rest on _audit.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "from mfcat.polynomials import Polynomial\n"
+        "try:\n    Polynomial({(('x', -1),): 1})\n"
+        "except ValueError:\n    print(__debug__, 'rejected')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.stdout, result.stderr) == ("False rejected\n", "")
+
+
+def test_audit_rejects_a_variable_named_twice():
+    with pytest.raises(AssertionError, match="name order"):
+        _make({(("x", 1), ("x", 2)): 1})
 
 
 def test_exponent_bound_applies_to_a_variable_within_a_term():
@@ -286,6 +346,8 @@ def test_constant_helpers():
     assert Polynomial.constant(0).is_zero()
     assert Polynomial.constant(Fraction(7, 2)).constant_value() == Fraction(7, 2)
     assert Polynomial.variable("x", 0) == Polynomial.one()
+    for one in (Polynomial.constant(True), Polynomial({(): True}), ZERO + True):
+        assert one == 1 and type(one._terms[()]) is int
     with pytest.raises(ValueError):
         parse_polynomial("x + 1").constant_value()
 
