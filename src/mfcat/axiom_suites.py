@@ -299,12 +299,14 @@ def check_triangle(
 # right-monoidal axioms (Ax.1 - Ax.5)
 
 
-def _ax2_single(a: MatrixFactorization, b: MatrixFactorization) -> CheckReport:
+def _ax2_single(
+    a: MatrixFactorization, b: MatrixFactorization, gamma_a: MfMorphism
+) -> CheckReport:
     check_id = f"rm-ax2[{_label(a)},{_label(b)}]"
     # The reversed associator e (x) (a (x) b) -> (e (x) a) (x) b after gamma
     # is an identity pair, so it leaves the matrices of gamma(a (x) b) as
     # they are.
-    rhs = mult_tensor_morph_left(gamma(a), b)
+    rhs = mult_tensor_morph_left(gamma_a, b)
     lhs = gamma(rhs.source)
     if lhs == rhs:
         return CheckReport(check_id, FAIL, "Ax.2 held unexpectedly")
@@ -322,11 +324,11 @@ def _ax2_single(a: MatrixFactorization, b: MatrixFactorization) -> CheckReport:
     )
 
 
-def _ax3_single(m: MatrixFactorization, n: MatrixFactorization) -> CheckReport:
+def _ax3_single(m: MatrixFactorization, n: MatrixFactorization, rho_n: MfMorphism) -> CheckReport:
     check_id = f"rm-ax3[{_label(m)},{_label(n)}]"
     # The associator m (x) (n (x) e) -> (m (x) n) (x) e before rho is an
     # identity pair, so it leaves the matrices of rho(m (x) n) as they are.
-    rhs = mult_tensor_morph_right(m, rho(n))
+    rhs = mult_tensor_morph_right(m, rho_n)
     lhs = rho(rhs.target)
     if lhs == rhs:
         return CheckReport(check_id, PASS, "Ax.3 holds")
@@ -339,13 +341,13 @@ def _ax3_single(m: MatrixFactorization, n: MatrixFactorization) -> CheckReport:
     )
 
 
-def _ax4_single(m: MatrixFactorization, n: MatrixFactorization) -> CheckReport:
+def _ax4_single(
+    m: MatrixFactorization, n: MatrixFactorization, rho_m: MfMorphism, gamma_n: MfMorphism
+) -> CheckReport:
     check_id = f"rm-ax4[{_label(m)},{_label(n)}]"
     # The associator m (x) (e (x) n) -> (m (x) e) (x) n in the middle is an
     # identity pair; ``compose`` checks that its two endpoints are equal.
-    composite = mult_tensor_morph_left(rho(m), n).compose(
-        mult_tensor_morph_right(m, gamma(n))
-    )
+    composite = mult_tensor_morph_left(rho_m, n).compose(mult_tensor_morph_right(m, gamma_n))
     if composite.is_identity():
         return CheckReport(check_id, PASS, "Ax.4 holds")
     return CheckReport(
@@ -371,8 +373,10 @@ def check_right_monoidal_axioms(maxpow: int) -> list[CheckReport]:
         *_pentagon_sweep(powers),
         "{held}/{total} e-power quadruples satisfy the pentagon-shaped Ax.1",
     )]
-    for a, b in itertools.product(powers, repeat=2):
-        reports += [_ax2_single(a, b), _ax3_single(a, b), _ax4_single(a, b)]
+    unitors = [(power, gamma(power), rho(power)) for power in powers]
+    for (a, gamma_a, rho_a), (b, gamma_b, rho_b) in itertools.product(unitors, repeat=2):
+        reports += [_ax2_single(a, b, gamma_a), _ax3_single(a, b, rho_b),
+                    _ax4_single(a, b, rho_a, gamma_b)]
 
     e = e_object()
     reports.append(_report(

@@ -61,6 +61,10 @@ class MatrixFactorization:
     __slots__ = ("potential", "phi", "psi", "size")
 
     def __init__(self, phi: PolyMatrix, psi: PolyMatrix, potential: Polynomial):
+        if not (isinstance(phi, PolyMatrix) and isinstance(psi, PolyMatrix)
+                and isinstance(potential, Polynomial)):
+            raise TypeError("a factorization takes two PolyMatrix factors and a Polynomial "
+                            "potential; Polynomial.constant makes one from a number")
         if phi.rows != phi.cols:
             raise NotSquareError(f"phi is {phi.rows}x{phi.cols}")
         if psi.rows != psi.cols:

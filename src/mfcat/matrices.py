@@ -2,29 +2,26 @@
 
 Every (1,0)-matrix with at most one 1 per row and per column (identities,
 zero matrices, partial identities, permutations) is stored as a *column
-map*: for each column, the row of its 1 or ``None``.  The identity's map is
+map*: for each column, the row of its 1 or ``None``; the identity's map is
 ``range(n)``, so identities of any side cost O(1).  Every other matrix is a
-dict of its nonzero entries.  The public constructor checks every index,
-drops zeros and picks the backend, so the choice is canonical: the
-sub-permutation tests are O(1), and matrices on different backends are
+dict of its nonzero entries.  Column maps never leave this module.  The
+public constructor is the one checking door: it takes a mapping of entries
+only, reads each value by the number rule (a string as a literal), checks
+every index, drops zeros and picks the backend, so the choice is canonical:
+the sub-permutation tests are O(1), and matrices on different backends are
 unequal.  Results that are in range, nonzero and canonical by construction
-skip it (:func:`_make_matrix`): ``identity(n)``; a product of two maps (a
-composition of injective partial maps, ``range`` when it is the identity); a
-Kronecker product of two maps (the identity only when both factors are); and
-the entry path of :func:`kronecker` (products of nonzero polynomials are
+skip it (:func:`_make_matrix`): ``identity``, ``zeros``, ``permutation``
+after its own check, a product or Kronecker product of two maps, and the
+entry path of :func:`kronecker` (products of nonzero polynomials are
 nonzero, and unless all are 1, as for units like -1 * -1, the result is a
 dict matrix).  Everything else, parsed input included, is checked: a
 negation, for one, can turn a dict matrix of -1s into a map.  Index
-arithmetic is used only where both operands are maps (products and Kronecker
-products), and an identity factor of a product is passed through.  Every
-other operation (a map times a dict matrix, transposes, scalar multiples,
-block placement) takes the one entry path.  There a product hands the
-entries of both operands to the one product kernel
-(``polynomials._packed_product``), which packs each operand entry once and
-sums each result entry in one dict, so no partial sum of an entry is built or
-audited.  The README design note gives the measured traffic behind this line.  Large matrices occur in the
-check suites only as maps, so exact arithmetic stays affordable at side
-2**19.
+arithmetic is used only where both operands are maps, and an identity
+factor of a product is passed through.  Every other operation takes the
+one entry path, where a product hands the entries of both operands to the
+one product kernel (``polynomials._packed_product``).  Large matrices occur
+in the check suites only as maps, so exact arithmetic stays affordable at
+side 2**19.
 
 :func:`kronecker` is the one Kronecker product of the library: with
 ``copies`` it builds I_copies (x) (a (x) b), so the doubled blocks of the
@@ -48,12 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    MatrixSyntaxError,
-    ParseError,
-    SizeGuardError,
-)
+from .errors import DimensionMismatchError, MatrixSyntaxError, ParseError, SizeGuardError
 from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _Tokenizer, parse_polynomial
 from .polynomials import _coerce, _packed_product
 
@@ -87,66 +79,42 @@ def _coerce_entry(value) -> Polynomial:
     return p
 
 
-def _checked_map(rows: int, cols: int, column_rows: ColumnMap) -> ColumnMap:
-    """``column_rows`` checked (length; each entry ``None`` or an int row in
-    range, no row used twice) and in canonical form: ``range(cols)`` for the
-    identity, a tuple otherwise."""
-    column_rows = tuple(column_rows)
-    if len(column_rows) != cols:
-        raise DimensionMismatchError(
-            f"column map of length {len(column_rows)} for {cols} columns"
-        )
-    used = set()
-    for r in column_rows:
-        if r is None:
-            continue
-        if type(r) is not int:
-            raise DimensionMismatchError(f"column map entry {r!r} is not a row index")
-        if not 0 <= r < rows:
-            raise DimensionMismatchError(f"column map has a row outside 0..{rows - 1}")
-        if r in used:
-            raise DimensionMismatchError("column map uses a row twice")
-        used.add(r)
-    if rows == cols == len(used) and column_rows == tuple(range(cols)):
+def _canonical_map(rows: int, cols: int, column_map: tuple) -> ColumnMap:
+    """A checked column map as stored: ``range`` for the identity."""
+    if rows == cols and column_map == tuple(range(cols)):
         return range(cols)
-    return column_rows
+    return column_map
 
 
 class PolyMatrix:
-    """An immutable rows x cols matrix of :class:`Polynomial` entries.
-
-    ``entries`` maps ``(row, col)`` to a polynomial, or is a column map (a
-    tuple, list or range): for each column, the row of its 1 or ``None``.
-    Either way it is checked, and the matrix is stored on its canonical
-    backend.
-    """
+    """An immutable rows x cols matrix of :class:`Polynomial` entries, built
+    from a checked mapping ``(row, col) -> value`` (see the module docstring)."""
 
     __slots__ = ("rows", "cols", "_entries", "_map")
 
-    def __init__(
-        self, rows: int, cols: int, entries: Mapping[tuple[int, int], Polynomial] | ColumnMap
-    ):
+    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], EntryLike]):
+        if not isinstance(entries, Mapping):
+            raise TypeError("entries must be a mapping (row, col) -> value; build 0/1 matrices "
+                            "with PolyMatrix.permutation, PolyMatrix.zeros or a dict of ones")
         _guard(rows, cols)
         self.rows = rows
         self.cols = cols
-        self._entries = None
-        if isinstance(entries, (tuple, list, range)):
-            self._map = _checked_map(rows, cols, entries)
-            return
         cleaned: dict[tuple[int, int], Polynomial] = {}
         ones = True
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
+            if not isinstance(value, Polynomial):
+                value = _coerce_entry(value)
             if not value.is_zero():
                 cleaned[(i, j)] = value
                 ones = ones and value.is_one()
         if ones and len({i for i, _ in cleaned}) == len({j for _, j in cleaned}) == len(cleaned):
             row_of = {j: i for i, j in cleaned}
-            self._map = _checked_map(rows, cols, [row_of.get(j) for j in range(cols)])
+            self._entries = None
+            self._map = _canonical_map(rows, cols, tuple([row_of.get(j) for j in range(cols)]))
         else:
-            self._entries = cleaned
-            self._map = None
+            self._entries, self._map = cleaned, None
 
     # -- constructors ---------------------------------------------------------
 
@@ -157,28 +125,30 @@ class PolyMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix(rows, cols, (None,) * cols)
+        _guard(rows, cols)
+        return _make_matrix(rows, cols, None, (None,) * cols)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[EntryLike]]) -> "PolyMatrix":
+        if isinstance(rows, str) or any(isinstance(row, str) for row in rows):
+            raise TypeError("matrix rows must be sequences of entries, not strings")
         if not rows or not rows[0]:
             raise DimensionMismatchError("matrix needs at least one row and column")
-        n_cols = len(rows[0])
-        entries: dict[tuple[int, int], Polynomial] = {}
-        for i, row in enumerate(rows):
-            if len(row) != n_cols:
-                raise DimensionMismatchError("ragged rows in matrix literal")
-            for j, value in enumerate(row):
-                entries[(i, j)] = _coerce_entry(value)
-        return PolyMatrix(len(rows), n_cols, entries)
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise DimensionMismatchError("ragged rows in matrix literal")
+        return PolyMatrix(len(rows), len(rows[0]), {
+            (i, j): value for i, row in enumerate(rows) for j, value in enumerate(row)
+        })
 
     @staticmethod
     def permutation(images: Sequence[int]) -> "PolyMatrix":
         """The permutation matrix P with P[images[k], k] = 1."""
+        images = tuple(images)
         n = len(images)
-        if None in images or sorted(images) != list(range(n)):
+        if any(type(k) is not int for k in images) or sorted(images) != list(range(n)):
             raise DimensionMismatchError("not a permutation of 0..n-1")
-        return PolyMatrix(n, n, images)
+        _guard(n, n)
+        return _make_matrix(n, n, None, _canonical_map(n, n, images))
 
     # -- access ---------------------------------------------------------------
 
@@ -236,9 +206,9 @@ class PolyMatrix:
         left, right = self._map, other._map
         if left is not None and right is not None:
             composed = tuple([None if k is None else left[k] for k in right])
-            if self.rows == other.cols and composed == tuple(range(other.cols)):
-                composed = range(other.cols)
-            return _make_matrix(self.rows, other.cols, None, composed)
+            return _make_matrix(
+                self.rows, other.cols, None, _canonical_map(self.rows, other.cols, composed)
+            )
         return PolyMatrix(self.rows, other.cols, _packed_product(self.items(), other.items()))
 
     def __mul__(self, scalar) -> "PolyMatrix":

@@ -19,16 +19,16 @@ e-powers, since the ambient category uses them too):
 ``lambda_(a) o gamma(a)`` is the identity, the reverse composite is not:
 the unitors are retractions, not isomorphisms.  These maps, the connecting
 morphisms and the associator are all pairs (d, d) of partial identities (ones
-on the leading diagonal), built by one constructor as column maps, so
-products and tensors of T-morphisms are index arithmetic; all share one e,
-validated once.
+on the leading diagonal), built by one constructor as d = u (x) I from public
+matrix algebra, so products and tensors of T-morphisms stay index arithmetic
+in the matrix layer; all share one e, validated once.
 """
 
 from __future__ import annotations
 
 from .errors import AssociativityMismatchError, MfcatError, NotEquivalentError, SizeGuardError
 from .factorizations import MatrixFactorization, MfMorphism
-from .matrices import MAX_SIDE, PolyMatrix
+from .matrices import MAX_SIDE, PolyMatrix, kronecker
 from .polynomials import ONE
 from .tensor_products import mult_tensor
 
@@ -78,9 +78,14 @@ def is_t_morphism(m: MfMorphism) -> bool:
 
 
 def _canonical_pair(source: MatrixFactorization, target: MatrixFactorization) -> MfMorphism:
-    """(d, d), d of shape target.size x source.size: (I, 0), (I, 0)^t or I."""
+    """(d, d), d of shape target.size x source.size: (I, 0)^t = (1, 0)^t (x) I,
+    (I, 0) = (1, 0) (x) I or I = [1] (x) I, i.e. u (x) I for the first unit
+    vector u.  In every caller one side divides the other (unitors: n and 2n;
+    connecting morphisms: powers of 2; ``l_iso``, the associator: equal);
+    any other pair gets a d of the wrong shape, which ``MfMorphism`` refuses."""
     rows, cols = target.size, source.size
-    delta = PolyMatrix(rows, cols, (*range(min(rows, cols)), *(None,) * (cols - rows)))
+    unit = PolyMatrix(max(rows // cols, 1), max(cols // rows, 1), {(0, 0): ONE})
+    delta = kronecker(unit, PolyMatrix.identity(min(rows, cols)))
     return MfMorphism(source, target, delta, delta)
 
 

@@ -64,6 +64,12 @@ def naive_doubled_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return naive_kronecker(PolyMatrix.identity(2), naive_kronecker(a, b))
 
 
+def dense_leading_diagonal(rows: int, cols: int) -> PolyMatrix:
+    """The rows x cols 0/1 matrix with ones at (k, k) for k < min(rows, cols),
+    from dense rows."""
+    return PolyMatrix.from_rows([[int(i == j) for j in range(cols)] for i in range(rows)])
+
+
 def dense_hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """[a, b] from the dense rows of both blocks."""
     assert a.rows == b.rows

@@ -668,6 +668,28 @@ def test_pseudo_monoidal_check_builds_each_objects_unitors_once(monkeypatch):
     assert len(calls) == 51
 
 
+def test_right_monoidal_axioms_build_each_powers_unitors_once(monkeypatch):
+    # Over e^1..e^3, Ax.2 to Ax.4 read one gamma and one rho per power; on
+    # top of those, each of the 9 pairs builds gamma(a (x) b) for Ax.2 and
+    # rho(a (x) b) for Ax.3, and Ax.5 one of each at e.
+    import mfcat.axiom_suites as suites
+
+    calls = {"gamma": 0, "rho": 0}
+
+    def counted(name):
+        real = getattr(suites, name)
+
+        def unitor(a):
+            calls[name] += 1
+            return real(a)
+        return unitor
+
+    for name in calls:
+        monkeypatch.setattr(suites, name, counted(name))
+    check_right_monoidal_axioms(3)
+    assert calls == {"gamma": 3 + 9 + 1, "rho": 3 + 9 + 1}
+
+
 def test_triangle_witnesses_match_pairing_with_identity_morphisms():
     # The triangle's sides rho(a) (x) id_b and id_a (x) lambda(b), against
     # the dense I_2 (x) (rho_a (x) I) and I_2 (x) (I (x) lambda_b).
@@ -688,7 +710,10 @@ def _raise_type_error(*args):
     [
         ("find_permutation_witness", lambda: check_semiunit_diagram2(e_object(), e_object())),
         ("MfMorphism", lambda: check_semiunit_diagram2(e_object(), e_object())),
-        ("find_permutation_witness", lambda: _ax2_single(e_object(), e_object())),
+        (
+            "find_permutation_witness",
+            lambda: _ax2_single(e_object(), e_object(), gamma(e_object())),
+        ),
         ("MfMorphism", counterexample_mf1_not_semiunital),
     ],
     ids=["diagram2-witness", "diagram2-morphism", "ax2-witness", "mf1-counterexample-morphism"],

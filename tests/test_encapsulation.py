@@ -19,7 +19,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "mfcat"
 
 MATRIX_PRIVATE = re.compile(
-    r"\._map\b|\._entries\b|\b(?:_guard|_checked_map|_map_kronecker|_placed|_make_matrix)\b"
+    r"\._map\b|\._entries\b|\b(?:_guard|_canonical_map|_map_kronecker|_placed|_make_matrix)\b"
 )
 PARSER_PRIVATE = re.compile(r"\b(?:_Tokenizer|_parse_sum)\b")
 KERNEL_PRIVATE = re.compile(r"\b_packed_product\b")
@@ -40,7 +40,7 @@ def test_matrix_backend_internals_stay_in_the_matrix_module():
     uses = _uses(MATRIX_PRIVATE)
     # the scan is not vacuous: the owning module does use every name
     assert uses.pop("matrices.py") == sorted(
-        ["._map", "._entries", "_guard", "_checked_map", "_make_matrix", "_map_kronecker",
+        ["._map", "._entries", "_canonical_map", "_guard", "_make_matrix", "_map_kronecker",
          "_placed"]
     )
     assert uses == {}

@@ -20,6 +20,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mfcat"
 
 PROGRAMMING_ERRORS = {
     ("_coerce_entry", "TypeError"): "a matrix entry of a type that is no polynomial or number",
+    ("PolyMatrix.__init__", "TypeError"): "entries that are no mapping, such as a column map, "
+    "which is the matrix module's own storage format",
+    ("PolyMatrix.from_rows", "TypeError"): "a string given as the rows or as a row, which would "
+    "otherwise be split into one-character entries",
+    ("MatrixFactorization.__init__", "TypeError"): "a factor that is no PolyMatrix or a potential "
+    "that is no Polynomial; the object door coerces nothing",
     ("PolyMatrix.entry", "IndexError"): "an index outside the matrix, as for a sequence",
     ("Polynomial.__init__", "ValueError"): "a variable the scanner would not read as one "
     "whole name, or an exponent that is not a non-negative int",

@@ -69,6 +69,25 @@ def test_not_square_and_size_mismatch():
         )
 
 
+@pytest.mark.parametrize(
+    "phi, psi, potential",
+    [
+        (PolyMatrix.identity(1), PolyMatrix.identity(1), 1),
+        (PolyMatrix.identity(1), PolyMatrix.identity(1), "1"),
+        ([[1]], PolyMatrix.identity(1), Polynomial.one()),
+        (PolyMatrix.identity(1), [[1]], Polynomial.one()),
+    ],
+    ids=["int-potential", "str-potential", "list-phi", "list-psi"],
+)
+def test_the_object_door_refuses_values_it_would_have_to_coerce(
+    monkeypatch, phi, psi, potential
+):
+    # One TypeError, before any product is formed; the door coerces nothing.
+    monkeypatch.setattr(PolyMatrix, "__matmul__", lambda a, b: pytest.fail("a product was formed"))
+    with pytest.raises(TypeError, match="Polynomial.constant"):
+        MatrixFactorization(phi, psi, potential)
+
+
 def test_zero_potential_accepted():
     z = PolyMatrix.zeros(2, 2)
     x = MatrixFactorization(z, random_matrix(random.Random(0), 2, 2), Polynomial.zero())

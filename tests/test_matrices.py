@@ -275,8 +275,8 @@ def test_entry_access_bounds():
 
 def _operands(rng, rows, cols):
     """Matrices of one shape on both backends: zero, sub-permutation and
-    general, plus (when square) the identity as a range and as an explicit
-    tuple, and a permutation."""
+    general, plus (when square) the identity from ``identity`` and from a
+    dict of ones, and a permutation."""
     out = [
         PolyMatrix.zeros(rows, cols),
         random_sub_permutation(rng, rows, cols),
@@ -287,7 +287,7 @@ def _operands(rng, rows, cols):
         rng.shuffle(images)
         out += [
             PolyMatrix.identity(rows),
-            PolyMatrix(rows, rows, tuple(range(rows))),
+            PolyMatrix(rows, rows, {(k, k): ONE for k in range(rows)}),
             PolyMatrix.permutation(images),
         ]
     return out
@@ -359,9 +359,9 @@ def _dict_matrix(draw, rows, cols, entry=_ENTRY):
 @st.composite
 def _map_matrix(draw, rows, cols):
     used = draw(st.permutations(range(rows)))
-    return PolyMatrix(rows, cols, [
-        used[j] if j < rows and draw(st.booleans()) else None for j in range(cols)
-    ])
+    return PolyMatrix(rows, cols, {
+        (used[j], j): ONE for j in range(min(rows, cols)) if draw(st.booleans())
+    })
 
 
 @st.composite
@@ -597,8 +597,9 @@ def _random_column_map(rng, rows, cols):
 
 
 def test_every_sub_permutation_is_stored_as_a_column_map():
-    # The backend is canonical: a 0/1 sub-permutation built from entries or
-    # from dense rows equals the map-built matrix and answers alike.
+    # The backend is canonical: a 0/1 sub-permutation built from a dict of
+    # ones, from dense rows, by ``permutation`` (a full one) or by ``zeros``
+    # (an empty one) is one matrix on the map backend and answers alike.
     rng = random.Random(104)
     cases = [[None] * 3, [0, 1, 2], [2, 0, 1], [0, 1]]
     shapes = [(2, 3), (3, 3), (3, 3), (4, 2)]
@@ -606,22 +607,27 @@ def test_every_sub_permutation_is_stored_as_a_column_map():
         shapes.append((rng.randint(1, 5), rng.randint(1, 5)))
         cases.append(_random_column_map(rng, *shapes[-1]))
     for (rows, cols), column_rows in zip(shapes, cases):
-        by_map = PolyMatrix(rows, cols, column_rows)
         dense = [[ONE if column_rows[j] == i else ZERO for j in range(cols)] for i in range(rows)]
-        by_entries = PolyMatrix(
+        by_ones = PolyMatrix(
             rows, cols, {(r, c): ONE for c, r in enumerate(column_rows) if r is not None}
         )
-        for m in (by_entries, PolyMatrix.from_rows(dense)):
-            assert m == by_map and by_map == m
-            assert _facts(m) == _facts(by_map) == _dense_facts(dense)
+        built = [by_ones, PolyMatrix.from_rows(dense)]
+        if rows == cols and None not in column_rows:
+            built.append(PolyMatrix.permutation(column_rows))
+        if column_rows == [None] * cols:
+            built.append(PolyMatrix.zeros(rows, cols))
+        for m in built:
+            assert m == by_ones and by_ones == m
+            assert _facts(m) == _facts(by_ones) == _dense_facts(dense)
             assert m.is_sub_permutation01()
     for rows, cols in [(1, 1), (2, 3), (4, 1)]:
         zero = PolyMatrix.zeros(rows, cols)
-        for m in (PolyMatrix(rows, cols, {}), PolyMatrix(rows, cols, [None] * cols)):
+        for m in (PolyMatrix(rows, cols, {}), PolyMatrix(rows, cols, {(0, 0): ZERO})):
             assert m == zero and zero == m
             assert _facts(m) == _facts(zero)
     eye = PolyMatrix.identity(4)
-    for m in (PolyMatrix(4, 4, (0, 1, 2, 3)), PolyMatrix(4, 4, {(k, k): ONE for k in range(4)})):
+    by_ones = PolyMatrix(4, 4, {(k, k): 1 for k in range(4)})
+    for m in (PolyMatrix.permutation([0, 1, 2, 3]), by_ones):
         assert m == eye and eye == m
         assert m.is_identity() and _facts(m) == _facts(eye)
     # entries outside {0, 1} keep the entry backend
@@ -629,37 +635,59 @@ def test_every_sub_permutation_is_stored_as_a_column_map():
     assert not scaled.is_sub_permutation01() and scaled != eye
 
 
+@pytest.mark.parametrize("column_map", [(0, 1), [0, 1], range(2)], ids=["tuple", "list", "range"])
+def test_column_maps_are_not_entries(column_map):
+    # The constructor takes a mapping of entries only; a column map is the
+    # matrix module's own storage format.
+    with pytest.raises(TypeError, match="PolyMatrix.permutation, PolyMatrix.zeros or a dict of ones"):
+        PolyMatrix(2, 2, column_map)
+
+
 @pytest.mark.parametrize(
-    "rows, cols, column_rows, message",
-    [
-        (2, 2, (0,), "column map of length 1 for 2 columns"),
-        (2, 2, range(3), "column map of length 3 for 2 columns"),
-        (2, 3, (0, 1), "column map of length 2 for 3 columns"),
-        (2, 2, (0, 2), "column map has a row outside 0..1"),
-        (2, 3, range(3), "column map has a row outside 0..1"),
-        (3, 2, (-1, 0), "column map has a row outside 0..2"),
-        (3, 2, (1, 1), "column map uses a row twice"),
-        (3, 3, (None, 2, 2), "column map uses a row twice"),
-        (2, 2, [1.0, 0.0], "column map entry 1.0 is not a row index"),
-        (2, 2, [True, False], "column map entry True is not a row index"),
-        (1, 1, ["x"], "column map entry 'x' is not a row index"),
-    ],
+    "images",
+    [[0, 0], [1, 2], [0, 2, 1, 4], [-1, 0], [None, 0], [True, False], [0.0, 1]],
 )
-def test_bad_column_maps_are_rejected(rows, cols, column_rows, message):
-    with pytest.raises(DimensionMismatchError) as info:
-        PolyMatrix(rows, cols, column_rows)
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("images", [[0, 0], [1, 2], [0, 2, 1, 4], [-1, 0], [None, 0]])
 def test_permutation_rejects_non_permutations(images):
     with pytest.raises(DimensionMismatchError, match=r"^not a permutation of 0\.\.n-1$"):
         PolyMatrix.permutation(images)
 
 
+def test_both_doors_read_entries_by_the_number_rule():
+    # The constructor and ``from_rows`` read a value alike: a Polynomial as
+    # it is, an int, Fraction or bool as a constant, a string as a literal.
+    assert PolyMatrix(2, 2, {(0, 0): 1}) == PolyMatrix.from_rows([[1, 0], [0, 0]])
+    for value, expected in [
+        (parse_polynomial("x + 1"), parse_polynomial("x + 1")),
+        (3, Polynomial.constant(3)),
+        (Fraction(-2, 3), Polynomial.constant(Fraction(-2, 3))),
+        (True, ONE),
+        ("x", parse_polynomial("x")),
+        (0, ZERO),
+    ]:
+        for m in (PolyMatrix(1, 2, {(0, 0): value}), PolyMatrix.from_rows([[value, 0]])):
+            assert m.to_rows() == [[expected, ZERO]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolyMatrix(1, 1, {(0, 0): 0.5}),
+        lambda: PolyMatrix.from_rows([[0.5]]),
+        lambda: PolyMatrix(1, 1, {(0, 0): None}),
+        lambda: PolyMatrix.from_rows(["x1"]),
+        lambda: PolyMatrix.from_rows("ab"),
+        lambda: PolyMatrix.from_rows([[1, 2], "ab"]),
+    ],
+    ids=["float-entry", "float-row", "none-entry", "string-row", "string-rows", "string-second-row"],
+)
+def test_doors_raise_type_error_on_inputs_they_do_not_read(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_map_kronecker_past_the_guard_raises_like_the_entry_path():
     side = MAX_SIDE // 2 + 1
-    on_map = PolyMatrix(side, 1, (0,))
+    on_map = PolyMatrix(side, 1, {(0, 0): ONE})
     on_entries = PolyMatrix(side, 1, {(0, 0): parse_polynomial("x")})
     swap = PolyMatrix.permutation([1, 0])
     assert on_map.is_sub_permutation01() and not on_entries.is_sub_permutation01()

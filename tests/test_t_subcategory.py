@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from mfcat.errors import AssociativityMismatchError, MfcatError, NotEquivalentError
+from mfcat.errors import (
+    AssociativityMismatchError,
+    MfcatError,
+    NotEquivalentError,
+    ShapeMismatchError,
+)
 from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
 from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
 from mfcat.polynomials import Polynomial
 from mfcat.t_subcategory import (
+    _canonical_pair,
     associator,
     connecting_morphism,
     e_object,
@@ -28,6 +34,7 @@ from mfcat.tensor_products import (
 
 from support import (
     dense_hstack,
+    dense_leading_diagonal,
     dense_vstack,
     random_mf1_morphism,
     random_sub_permutation,
@@ -117,6 +124,33 @@ def test_connecting_morphism_matches_stacked_construction():
             cm = connecting_morphism(m, p)
             expected = _stacked_connecting_matrix(m, p)
             assert cm.alpha == expected and cm.beta == expected
+
+
+def _identity_object(n: int) -> MatrixFactorization:
+    return MatrixFactorization(PolyMatrix.identity(n), PolyMatrix.identity(n), Polynomial.one())
+
+
+_DIVIDING_SHAPES = sorted(
+    {shape for n in range(1, 9) for shape in ((n, 2 * n), (2 * n, n), (n, n))}
+    | {(1 << p, 1 << m) for p in range(5) for m in range(5)}
+)
+
+
+@pytest.mark.parametrize("rows, cols", _DIVIDING_SHAPES)
+def test_canonical_pair_is_the_leading_diagonal(rows, cols):
+    # d = u (x) I, u the first unit vector, against the dense partial
+    # identity of shape target x source for every shape one side divides.
+    pair = _canonical_pair(_identity_object(cols), _identity_object(rows))
+    expected = dense_leading_diagonal(rows, cols)
+    assert pair.alpha == expected and pair.beta == expected
+    assert pair.alpha.to_rows() == expected.to_rows()
+    assert pair.alpha.is_sub_permutation01()
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (6, 4)])
+def test_canonical_pair_refuses_sides_that_do_not_divide(rows, cols):
+    with pytest.raises(ShapeMismatchError):
+        _canonical_pair(_identity_object(cols), _identity_object(rows))
 
 
 def test_unitor_matrices_match_stacked_construction():
