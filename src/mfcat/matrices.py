@@ -36,17 +36,19 @@ constructions double sizes, and the guard turns runaway growth into a clear
 error instead of memory exhaustion.  Printing is guarded the same way: a
 dense matrix literal of more than ``MAX_PRINT_ENTRIES`` entries is refused.
 
-Matrix literals are read with the polynomial scanner, each entry in place, so
-an error carries one position, counted from the start of the literal.
+Matrix literals are read from one token list of the polynomial parser, each
+entry in place, so an error carries one position, counted from the start of
+the literal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, MatrixSyntaxError, ParseError, SizeGuardError
-from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _Tokenizer, parse_polynomial
+from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _position, _tokenize, parse_polynomial
 from .polynomials import _coerce, _packed_product
 
 # The largest check suite (its maxpow cap is derived from this guard by
@@ -360,32 +362,34 @@ def matrix_literal(a: PolyMatrix) -> str:
     ) + "]"
 
 
-def _expect(tok: _Tokenizer, symbol: str) -> None:
-    if tok.take_symbol(symbol) is None:
-        raise MatrixSyntaxError(f"expected {symbol!r}", tok.pos)
+def _expect(text: str, tokens: list[str], i: int, symbol: str) -> int:
+    if tokens[i] != symbol:
+        raise MatrixSyntaxError(f"expected {symbol!r}", _position(text, i))
+    return i + 1
 
 
-def _parse_entry(tok: _Tokenizer) -> Polynomial:
+def _parse_entry(text: str, tokens: list[str], i: int) -> tuple[Polynomial, int]:
     try:
-        return _parse_sum(tok)
+        return _parse_sum(text, tokens, i)
     except ParseError as exc:
         raise MatrixSyntaxError(f"bad entry: {exc.message}", exc.position) from exc
 
 
-def _parse_list(tok: _Tokenizer, parse_item) -> list:
-    """Read ``'[' item (',' item)* ']'``."""
-    _expect(tok, "[")
-    items = [parse_item(tok)]
-    while tok.take_symbol(","):
-        items.append(parse_item(tok))
-    _expect(tok, "]")
-    return items
+def _parse_list(text: str, tokens: list[str], i: int, parse_item) -> tuple[list, int]:
+    """Read ``'[' item (',' item)* ']'`` from token ``i``: the items, and the
+    index of the token after the ``']'``."""
+    item, i = parse_item(text, tokens, _expect(text, tokens, i, "["))
+    items = [item]
+    while tokens[i] == ",":
+        item, i = parse_item(text, tokens, i + 1)
+        items.append(item)
+    return items, _expect(text, tokens, i, "]")
 
 
 def parse_matrix(text: str) -> PolyMatrix:
     """Parse a matrix literal with polynomial entries."""
-    tok = _Tokenizer(text)
-    rows = _parse_list(tok, lambda tok: _parse_list(tok, _parse_entry))
-    if not tok.at_end():
-        raise MatrixSyntaxError("trailing input after matrix literal", tok.pos)
+    tokens = _tokenize(text)
+    rows, i = _parse_list(text, tokens, 0, partial(_parse_list, parse_item=_parse_entry))
+    if tokens[i]:
+        raise MatrixSyntaxError("trailing input after matrix literal", _position(text, i))
     return PolyMatrix.from_rows(rows)

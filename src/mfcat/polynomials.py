@@ -9,8 +9,9 @@ monomial.  The zero polynomial has an empty term mapping.  The public
 constructor reads a term as the grammar does (a variable's exponents add up,
 zero exponents vanish) and a number as arithmetic does (an ``int`` or a
 ``Fraction``, never a float or a string).  It raises ``ValueError`` for a name
-the scanner would not read whole or an exponent that is not a non-negative
-int, and ``TypeError`` for a coefficient that is not an exact rational.
+the parser would not read as that one variable or an exponent that is not a
+non-negative int, and ``TypeError`` for a coefficient that is not an exact
+rational.
 
 All arithmetic is exact, so equality of polynomials is decidable and reliable;
 this is what makes every "diagram commutes" check in the rest of the library a
@@ -37,15 +38,17 @@ As a convenience a bare leading '-' (as in ``-x``) is accepted and read as
 coefficient -1, so canonical output always re-parses.  A variable's exponent
 within a term, summed over its factors, may not exceed ``MAX_EXPONENT``.
 
-The scanner reads one token per step: whitespace, a numeral or a name is one
-compiled pattern matched at the current position.  A parsed sum is collected
-into one term mapping, its coefficients ``int`` until a ``/`` is read, and
-built once by :func:`_make`, so parsing is linear in the input.  ``*`` and
-every matrix product entry share one kernel, :func:`_packed_product`: within
-one call each monomial is packed into an int, so a monomial product is one
-int addition; stored monomials stay tuples (the README design note gives the
-measured traffic).  An error names one 0-based position in the text read;
-matrix literals are read with the same scanner (see :mod:`mfcat.matrices`).
+The parser reads a value as one list of tokens, made by one ``findall`` call,
+and walks it by index.  A term's ``(name, exponent)`` pairs go through the
+term rule once, and a sum is collected into one term mapping, its
+coefficients ``int`` until a ``/`` is read, and built once by :func:`_make`,
+so parsing is linear in the input.  An error names one 0-based position in
+the text read, found only then, by scanning the text again; matrix literals
+are read the same way (see :mod:`mfcat.matrices`).  ``*`` and every matrix
+product entry share one kernel, :func:`_packed_product`: within one call
+each monomial is packed into an int, so a monomial product is one int
+addition; stored monomials stay tuples (the README design note gives the
+measured traffic).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -95,7 +99,8 @@ class Polynomial:
         normalized: dict[Monomial, Coefficient] = {}
         for monomial, coefficient in terms.items():
             for var, exp in monomial:
-                if not isinstance(var, str) or _Tokenizer(var).take_name() != var:
+                # the name rule: one token of the parser's, starting with a letter
+                if not (isinstance(var, str) and var[:1].isalpha() and _TOKEN.fullmatch(var)):
                     raise ValueError(f"not a variable name: {var!r}")
                 if not isinstance(exp, int) or exp < 0:
                     raise ValueError(f"exponent of {var} is not a non-negative int: {exp!r}")
@@ -373,113 +378,105 @@ def canonical_string(p: Polynomial) -> str:
 # parsing
 
 
-# A name is a ``str.isalpha`` letter, then ``_WORD``.  For ``str`` patterns,
-# ``re`` defines ``\s``, ``\d`` and ``\w`` by ``str.isspace``, ``str.isdecimal``
-# and ``str.isalnum() or '_'``: the grammar's space, digit and name character.
-_SPACE = re.compile(r"\s*").match
-_DIGITS = re.compile(r"\d+").match
-_WORD = re.compile(r"\w*").match
+# A value is read as one list of tokens: a numeral (``\d+``), a word
+# (``\w+``) or any other single non-space character, whitespace skipped.  For
+# ``str`` patterns ``re`` defines ``\s``, ``\d`` and ``\w`` by ``str.isspace``,
+# ``str.isdecimal`` and ``str.isalnum() or '_'``: the grammar's space, digit and
+# name character.  A name is a word that starts with a ``str.isalpha`` letter;
+# no word starts with a digit, so ``2x`` is ``2`` then ``x``, and ``x2`` a name.
+_TOKEN = re.compile(r"\d+|\w+|\S")
 
 
-class _Tokenizer:
-    """A cursor over ``text``; each read skips the whitespace before it."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        """The next character ('' at the end), with ``pos`` moved onto it."""
-        self.pos = _SPACE(self.text, self.pos).end()
-        return self.text[self.pos : self.pos + 1]
-
-    def take_symbol(self, symbols: str) -> str | None:
-        ch = self.peek()
-        if ch and ch in symbols:
-            self.pos += 1
-            return ch
-        return None
-
-    def take_nat(self) -> int | None:
-        self.peek()
-        match = _DIGITS(self.text, self.pos)
-        if match is None:
-            return None
-        digits, self.pos = match.group(), match.end()
-        try:
-            return int(digits)
-        except ValueError:  # beyond the interpreter's int-string digit limit
-            raise PolynomialSyntaxError(
-                f"numeral of {len(digits)} digits exceeds the limit of "
-                f"{sys.get_int_max_str_digits()} digits",
-                match.start(),
-            ) from None
-
-    def take_name(self) -> str | None:
-        if not self.peek().isalpha():
-            return None
-        start = self.pos
-        self.pos = _WORD(self.text, start + 1).end()
-        return self.text[start : self.pos]
-
-    def at_end(self) -> bool:
-        return not self.peek()
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then the end sentinel ``""``."""
+    return _TOKEN.findall(text) + [""]
 
 
-def _parse_rational(tok: _Tokenizer) -> Coefficient:
-    numerator = tok.take_nat()
-    if not tok.take_symbol("/"):
-        return numerator
-    denom_pos = tok.pos
-    denominator = tok.take_nat()
-    if denominator is None:
-        raise MalformedRationalError("expected denominator after '/'", denom_pos)
-    if denominator == 0:
-        raise MalformedRationalError("zero denominator", denom_pos)
-    return _num(Fraction(numerator, denominator))
+def _position(text: str, index: int) -> int:
+    """The 0-based position in ``text`` of its token ``index`` (``len(text)``
+    for the sentinel), found by scanning again: only an error needs it."""
+    return next((m.start() for m in islice(_TOKEN.finditer(text), index, None)), len(text))
 
 
-def _parse_term(tok: _Tokenizer) -> tuple[Monomial, Coefficient]:
-    coefficient = -1 if tok.take_symbol("-") else 1  # a bare '-x' reads as -1*x
-    if tok.peek().isdecimal():
-        coefficient *= _parse_rational(tok)
-        if not tok.take_symbol("*") and not tok.peek().isalpha():
-            return (), coefficient
-    exponents: dict[str, int] = {}
-    while True:
-        name = tok.take_name()
-        if name is None:
-            message = "expected a variable" if exponents else "expected a term"
-            raise PolynomialSyntaxError(message, tok.pos)
-        position, exponent = tok.pos - len(name), 1
-        if tok.take_symbol("^"):
-            position = tok.pos
-            exponent = tok.take_nat()
-            if exponent is None:
-                raise PolynomialSyntaxError("expected an exponent after '^'", position)
-        # The bound applies to the exponent the term ends up with: x^a*x^b is
-        # x^(a+b), and its canonical form must parse again.
-        exponent += exponents.get(name, 0)
-        if exponent > MAX_EXPONENT:
-            raise ExponentOverflowError(
-                f"exponent {exponent} exceeds limit {MAX_EXPONENT}", position
-            )
-        exponents[name] = exponent
-        if not tok.take_symbol("*"):
-            return _monomial(exponents.items()), coefficient
+def _numeral(text: str, tokens: list[str], i: int) -> int:
+    try:
+        return int(tokens[i])
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        message = f"numeral of {len(tokens[i])} digits exceeds the limit of {limit} digits"
+        raise PolynomialSyntaxError(message, _position(text, i)) from None
 
 
-def _parse_sum(tok: _Tokenizer) -> Polynomial:
-    """Read ``term (('+'|'-') term)*``, stopping before any other symbol."""
+def _parse_term(text: str, tokens: list[str], i: int) -> tuple[Monomial, Coefficient, int]:
+    """Read the term at token ``i``: its monomial, its coefficient and the
+    index of the token after it.  An error after a '^' or '/' sits just
+    after it, not on the next token."""
+    coefficient = 1
+    if tokens[i] == "-":  # a bare '-x' reads as -1*x
+        coefficient, i = -1, i + 1
+    if tokens[i].isdecimal():
+        coefficient, i = coefficient * _numeral(text, tokens, i), i + 1
+        if tokens[i] == "/":
+            if not tokens[i + 1].isdecimal():
+                message = "expected denominator after '/'"
+                raise MalformedRationalError(message, _position(text, i) + 1)
+            if not (denominator := _numeral(text, tokens, i + 1)):
+                raise MalformedRationalError("zero denominator", _position(text, i) + 1)
+            coefficient, i = _num(Fraction(coefficient, denominator)), i + 2
+        if tokens[i] == "*":
+            i += 1
+        elif not tokens[i][:1].isalpha():
+            return (), coefficient, i
+    start, pairs = i, []
+    try:
+        while True:
+            name, exponent = tokens[i], 1
+            if not name[:1].isalpha():
+                message = "expected a variable" if pairs else "expected a term"
+                raise PolynomialSyntaxError(message, _position(text, i))
+            if tokens[i + 1] == "^":
+                if not tokens[i + 2].isdecimal():
+                    message = "expected an exponent after '^'"
+                    raise PolynomialSyntaxError(message, _position(text, i + 1) + 1)
+                exponent, i = _numeral(text, tokens, i + 2), i + 2
+            pairs.append((name, exponent))
+            if tokens[i + 1] != "*":
+                break
+            i += 2
+    finally:  # an overflow is reported before any later error in its term
+        monomial = _monomial(pairs)
+        if monomial and max(exp for _, exp in monomial) > MAX_EXPONENT:
+            _raise_overflow(text, tokens, start, pairs)
+    return monomial, coefficient, i + 1
+
+
+def _raise_overflow(text: str, tokens: list[str], i: int, pairs: list[tuple[str, int]]) -> None:
+    """Raise :class:`ExponentOverflowError` at the first factor of ``pairs``,
+    read from token ``i`` on, whose variable's exponent in the term so far
+    exceeds ``MAX_EXPONENT`` (x^a*x^b is x^(a+b), and its canonical form must
+    parse again): just after its '^', or at its name if it has none."""
+    sums: dict[str, int] = {}
+    for name, exponent in pairs:
+        caret = tokens[i + 1] == "^"
+        sums[name] = total = sums.get(name, 0) + exponent
+        if total > MAX_EXPONENT:
+            position = _position(text, i + 1) + 1 if caret else _position(text, i)
+            raise ExponentOverflowError(f"exponent {total} exceeds limit {MAX_EXPONENT}", position)
+        i += 4 if caret else 2  # past the factor and the '*' after it
+
+
+def _parse_sum(text: str, tokens: list[str], i: int) -> tuple[Polynomial, int]:
+    """Read ``term (('+'|'-') term)*`` from token ``i``, stopping before any
+    other symbol: the sum, and the index of the token after it."""
     terms: dict[Monomial, Coefficient] = {}
-    sign: str | None = "+"
-    while sign:
-        monomial, coefficient = _parse_term(tok)
-        if sign == "-":
-            coefficient = -coefficient
-        terms[monomial] = terms.get(monomial, 0) + coefficient
-        sign = tok.take_symbol("+-")
-    return _collected(terms)
+    sign = "+"
+    while True:
+        monomial, coefficient, i = _parse_term(text, tokens, i)
+        terms[monomial] = terms.get(monomial, 0) + (-coefficient if sign == "-" else coefficient)
+        sign = tokens[i]
+        if sign != "+" and sign != "-":
+            return _collected(terms), i
+        i += 1
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -488,14 +485,12 @@ def parse_polynomial(text: str) -> Polynomial:
     Raises :class:`PolynomialSyntaxError`, :class:`MalformedRationalError` or
     :class:`ExponentOverflowError` with the offending character position.
     """
-    tok = _Tokenizer(text)
-    if tok.at_end():
-        raise PolynomialSyntaxError("empty polynomial", tok.pos)
-    result = _parse_sum(tok)
-    if not tok.at_end():
-        raise PolynomialSyntaxError(
-            f"unexpected character {tok.peek()!r}", tok.pos
-        )
+    tokens = _tokenize(text)
+    if not tokens[0]:
+        raise PolynomialSyntaxError("empty polynomial", len(text))
+    result, i = _parse_sum(text, tokens, 0)
+    if tokens[i]:
+        raise PolynomialSyntaxError(f"unexpected character {tokens[i][0]!r}", _position(text, i))
     return result
 
 

@@ -8,11 +8,20 @@ are checked against something that does not share their code.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 
+from mfcat.errors import (
+    ExponentOverflowError,
+    MalformedRationalError,
+    MatrixSyntaxError,
+    ParseError,
+    PolynomialSyntaxError,
+)
 from mfcat.factorizations import MatrixFactorization, MfMorphism
 from mfcat.matrices import PolyMatrix
-from mfcat.polynomials import ONE, Polynomial, random_polynomial
+from mfcat.polynomials import MAX_EXPONENT, ONE, Polynomial, random_polynomial
 from mfcat.t_subcategory import e_power
 
 
@@ -84,6 +93,150 @@ def dense_vstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 def dense_block2x2(tl: PolyMatrix, tr: PolyMatrix, bl: PolyMatrix, br: PolyMatrix) -> PolyMatrix:
     return dense_vstack(dense_hstack(tl, tr), dense_hstack(bl, br))
+
+
+# ---------------------------------------------------------------------------
+# reference parsers: a cursor scanner that reads one token per step and
+# finds whitespace, numerals and names by matching at its position.  It
+# builds each value through the public constructors, so the library's token
+# list parser is checked against code that shares neither its tokenizer nor
+# its error positions.
+
+_SPACE = re.compile(r"\s*").match
+_DIGITS = re.compile(r"\d+").match
+_WORD = re.compile(r"\w*").match
+
+
+class _Scanner:
+    """A cursor over ``text``; each read skips the whitespace before it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def peek(self) -> str:
+        """The next character ('' at the end), with ``pos`` moved onto it."""
+        self.pos = _SPACE(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
+
+    def take_symbol(self, symbols: str) -> str | None:
+        ch = self.peek()
+        if ch and ch in symbols:
+            self.pos += 1
+            return ch
+        return None
+
+    def take_nat(self) -> int | None:
+        self.peek()
+        match = _DIGITS(self.text, self.pos)
+        if match is None:
+            return None
+        digits, self.pos = match.group(), match.end()
+        try:
+            return int(digits)
+        except ValueError:
+            raise PolynomialSyntaxError(
+                f"numeral of {len(digits)} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+                match.start(),
+            ) from None
+
+    def take_name(self) -> str | None:
+        if not self.peek().isalpha():
+            return None
+        start = self.pos
+        self.pos = _WORD(self.text, start + 1).end()
+        return self.text[start : self.pos]
+
+    def at_end(self) -> bool:
+        return not self.peek()
+
+
+def _reference_rational(tok: _Scanner):
+    numerator = tok.take_nat()
+    if not tok.take_symbol("/"):
+        return numerator
+    denom_pos = tok.pos
+    denominator = tok.take_nat()
+    if denominator is None:
+        raise MalformedRationalError("expected denominator after '/'", denom_pos)
+    if denominator == 0:
+        raise MalformedRationalError("zero denominator", denom_pos)
+    return Fraction(numerator, denominator)
+
+
+def _reference_term(tok: _Scanner):
+    coefficient = -1 if tok.take_symbol("-") else 1
+    if tok.peek().isdecimal():
+        coefficient *= _reference_rational(tok)
+        if not tok.take_symbol("*") and not tok.peek().isalpha():
+            return (), coefficient
+    exponents: dict = {}
+    while True:
+        name = tok.take_name()
+        if name is None:
+            message = "expected a variable" if exponents else "expected a term"
+            raise PolynomialSyntaxError(message, tok.pos)
+        position, exponent = tok.pos - len(name), 1
+        if tok.take_symbol("^"):
+            position = tok.pos
+            exponent = tok.take_nat()
+            if exponent is None:
+                raise PolynomialSyntaxError("expected an exponent after '^'", position)
+        exponent += exponents.get(name, 0)
+        if exponent > MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"exponent {exponent} exceeds limit {MAX_EXPONENT}", position
+            )
+        exponents[name] = exponent
+        if not tok.take_symbol("*"):
+            return tuple(sorted((v, e) for v, e in exponents.items() if e)), coefficient
+
+
+def _reference_sum(tok: _Scanner) -> Polynomial:
+    terms: dict = {}
+    sign = "+"
+    while sign:
+        monomial, coefficient = _reference_term(tok)
+        terms[monomial] = terms.get(monomial, 0) + (-coefficient if sign == "-" else coefficient)
+        sign = tok.take_symbol("+-")
+    return Polynomial(terms)
+
+
+def reference_parse_polynomial(text: str) -> Polynomial:
+    tok = _Scanner(text)
+    if tok.at_end():
+        raise PolynomialSyntaxError("empty polynomial", tok.pos)
+    result = _reference_sum(tok)
+    if not tok.at_end():
+        raise PolynomialSyntaxError(f"unexpected character {tok.peek()!r}", tok.pos)
+    return result
+
+
+def _reference_list(tok: _Scanner, parse_item) -> list:
+    if tok.take_symbol("[") is None:
+        raise MatrixSyntaxError("expected '['", tok.pos)
+    items = [parse_item(tok)]
+    while tok.take_symbol(","):
+        items.append(parse_item(tok))
+    if tok.take_symbol("]") is None:
+        raise MatrixSyntaxError("expected ']'", tok.pos)
+    return items
+
+
+def _reference_entry(tok: _Scanner) -> Polynomial:
+    try:
+        return _reference_sum(tok)
+    except ParseError as exc:
+        raise MatrixSyntaxError(f"bad entry: {exc.message}", exc.position) from exc
+
+
+def reference_parse_matrix(text: str) -> PolyMatrix:
+    tok = _Scanner(text)
+    rows = _reference_list(tok, lambda tok: _reference_list(tok, _reference_entry))
+    if not tok.at_end():
+        raise MatrixSyntaxError("trailing input after matrix literal", tok.pos)
+    return PolyMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 ``PolyMatrix`` stores a matrix as a column map (``_map``) or a dict of
 entries (``_entries``), and only :mod:`mfcat.matrices` may read either or
-call its private helpers; the polynomial scanner is shared by
+call its private helpers; the polynomial tokenizer is shared by
 :mod:`mfcat.polynomials` and the matrix-literal parser alone, and the
 sum-of-products kernel by ``*`` and the matrix product alone, and the
 number rule by polynomial arithmetic and matrix entries alone; verdicts
@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mfcat"
 MATRIX_PRIVATE = re.compile(
     r"\._map\b|\._entries\b|\b(?:_guard|_canonical_map|_map_kronecker|_placed|_make_matrix)\b"
 )
-PARSER_PRIVATE = re.compile(r"\b(?:_Tokenizer|_parse_sum)\b")
+PARSER_PRIVATE = re.compile(r"\b(?:_tokenize|_position|_parse_sum)\b")
 KERNEL_PRIVATE = re.compile(r"\b_packed_product\b")
 NUMBER_RULE = re.compile(r"\b_coerce\b")
 
@@ -48,8 +48,9 @@ def test_matrix_backend_internals_stay_in_the_matrix_module():
 
 def test_polynomial_scanner_stays_in_the_two_parsers():
     uses = _uses(PARSER_PRIVATE)
-    assert uses.pop("polynomials.py") == ["_Tokenizer", "_parse_sum"]
-    assert uses.pop("matrices.py") == ["_Tokenizer", "_parse_sum"]
+    # the tokenizer, its error positions and the sum reader
+    assert uses.pop("polynomials.py") == ["_parse_sum", "_position", "_tokenize"]
+    assert uses.pop("matrices.py") == ["_parse_sum", "_position", "_tokenize"]
     assert uses == {}
 
 

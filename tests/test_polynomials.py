@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from mfcat.errors import (
     ExponentOverflowError,
     MalformedRationalError,
+    ParseError,
     PolynomialSyntaxError,
 )
 from mfcat.polynomials import (
@@ -185,6 +186,24 @@ def test_constructor_rejects_what_the_parser_would_not_read(build, error):
         build()
 
 
+@pytest.mark.parametrize(
+    "name", ["x", "x\u00b2", "\u00e9", "2x", " x", "_x", "", "x y", "x-"],
+    ids=ascii,
+)
+def test_constructor_takes_a_name_exactly_when_the_parser_reads_it(name):
+    try:
+        read = parse_polynomial(name).terms == {((name, 1),): 1}
+    except ParseError:
+        read = False
+    try:
+        Polynomial.variable(name)
+    except ValueError as exc:
+        assert str(exc) == f"not a variable name: {name!r}"
+        assert not read
+    else:
+        assert read
+
+
 def test_constructor_rejects_a_negative_exponent_under_python_O():
     # -O strips asserts, so the rejection must not rest on _audit.
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -235,6 +254,15 @@ _MALFORMED = [
     ("x^9999999", ExponentOverflowError, "exponent 9999999 exceeds limit 1000000", 2),
     ("x^600000*x^600000", ExponentOverflowError, "exponent 1200000 exceeds limit", 11),
     ("x^1000000*x", ExponentOverflowError, "exponent 1000001 exceeds limit", 10),
+    # an error sits just after its '^' or '/', not on the token after it
+    ("x^ y", PolynomialSyntaxError, "expected an exponent after '^'", 2),
+    ("3/ 0", MalformedRationalError, "zero denominator", 2),
+    ("x^ 9999999", ExponentOverflowError, "exponent 9999999 exceeds limit", 2),
+    # an overflow is reported before any later error in its term
+    ("x^600000*x^600000*", ExponentOverflowError, "exponent 1200000 exceeds limit", 11),
+    ("x^9999999*y^", ExponentOverflowError, "exponent 9999999 exceeds limit", 2),
+    ("x^600000 * x^600000*y^" + _LONG, ExponentOverflowError, "exponent 1200000 exceeds", 13),
+    ("x^2000000*y^2000000", ExponentOverflowError, "exponent 2000000 exceeds limit", 2),
     (_LONG, PolynomialSyntaxError, "numeral of 5000 digits exceeds", 0),
     ("x + " + _LONG, PolynomialSyntaxError, "numeral of 5000 digits exceeds", 4),
     ("x^" + _LONG, PolynomialSyntaxError, "numeral of 5000 digits exceeds", 2),
