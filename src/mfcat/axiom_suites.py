@@ -4,8 +4,8 @@ The layers below (polynomials up to the T-subcategory) only build values;
 every verdict of the library, the syzygy identity's included, is given here.
 
 Positive checks assert exact matrix equalities and report ``pass``.  Checks
-that encode known negative results (the failing triangle away from e, the
-failing second right-monoidal axiom, the two counterexamples) report the
+that encode known negative results (the failing triangle and Ax.4 away from
+e, the failing Ax.2 and Ax.3, the two counterexamples) report the
 distinct verdict ``expected-fail-confirmed`` so that a regression which makes
 a counterexample succeed cannot hide inside a green suite.
 
@@ -19,12 +19,13 @@ level.  Equal vertices settle the pentagon: by Kronecker cancellation
 (X (x) D == Y (x) D with D nonzero gives X == Y) every edge is then an
 identity morphism between equal objects.  The remaining checks compare the
 non-identity maps (unitors, whiskerings, permutation witnesses) exactly and
-test endomorphisms with ``MfMorphism.is_identity()``.  The e-power sweeps
-build each power once; a pentagon sweep passes when all of its quadruples
-have literally equal vertices.  Every verdict decided by a comparison follows
-one rule, :func:`_report`: the predicted verdict when the check held, FAIL
-with a failure detail otherwise; a report over many instances held exactly
-when all of its instances held.
+test endomorphisms with ``MfMorphism.is_identity()``.  A sweep builds each
+e-power and each object's unitors once (:func:`_unitors`) and hands the
+per-pair checks the unitors they test; a pentagon sweep passes when all of
+its quadruples have literally equal vertices.  Every verdict decided by a
+comparison follows one rule, :func:`_report`: the predicted verdict when the
+check held, FAIL with a failure detail otherwise; a report over many
+instances held exactly when all of its instances held.
 
 Every check is a pure function of its inputs; reports are returned in
 deterministic order.
@@ -174,6 +175,11 @@ def _e_powers(maxpow: int) -> list[MatrixFactorization]:
     return [e_power(k) for k in range(1, maxpow + 1)]
 
 
+def _unitors(objects: list[MatrixFactorization]) -> list[tuple]:
+    """(x, gamma(x), lambda_(x), rho(x)) for each object, each map built once."""
+    return [(x, gamma(x), lambda_(x), rho(x)) for x in objects]
+
+
 # ---------------------------------------------------------------------------
 # the three semi-unit diagrams
 
@@ -240,25 +246,23 @@ def _semiunit_rearrangement(
     )
 
 
-def check_semiunit_diagram2(
-    a: MatrixFactorization, b: MatrixFactorization
-) -> CheckReport:
-    """gamma(a) (x) b rearranges onto gamma(a (x) b) through an isomorphism."""
-    top = mult_tensor_morph_left(gamma(a), b)
+def check_semiunit_diagram2(gamma_a: MfMorphism, b: MatrixFactorization) -> CheckReport:
+    """gamma(a) (x) b rearranges onto gamma(a (x) b) through an isomorphism,
+    for a the source of ``gamma_a``."""
+    top = mult_tensor_morph_left(gamma_a, b)
     direct = gamma(top.source)
     return _semiunit_rearrangement(
-        f"semiunit-diagram2[{_label(a)},{_label(b)}]", top, direct
+        f"semiunit-diagram2[{_label(gamma_a.source)},{_label(b)}]", top, direct
     )
 
 
-def check_semiunit_diagram3(
-    a: MatrixFactorization, b: MatrixFactorization
-) -> CheckReport:
-    """a (x) gamma(b) rearranges onto gamma(a (x) b) through an isomorphism."""
-    top = mult_tensor_morph_right(a, gamma(b))
+def check_semiunit_diagram3(a: MatrixFactorization, gamma_b: MfMorphism) -> CheckReport:
+    """a (x) gamma(b) rearranges onto gamma(a (x) b) through an isomorphism,
+    for b the source of ``gamma_b``."""
+    top = mult_tensor_morph_right(a, gamma_b)
     direct = gamma(top.source)
     return _semiunit_rearrangement(
-        f"semiunit-diagram3[{_label(a)},{_label(b)}]", top, direct
+        f"semiunit-diagram3[{_label(a)},{_label(gamma_b.source)}]", top, direct
     )
 
 
@@ -266,18 +270,18 @@ def check_semiunit_diagram3(
 # triangle
 
 
-def check_triangle(
-    a: MatrixFactorization, b: MatrixFactorization
-) -> CheckReport:
-    """rho(a) (x) b composed with the associator versus a (x) lambda(b).
+def check_triangle(rho_a: MfMorphism, lambda_b: MfMorphism) -> CheckReport:
+    """rho(a) (x) b composed with the associator versus a (x) lambda(b), for
+    a the target of ``rho_a`` and b that of ``lambda_b``.
 
     Expected to commute exactly when a has size 1; for larger a the two sides
-    are different (permutation-similar) matrices, which is recorded as the
-    confirmed expected failure.
+    are different matrices, equal up to a permutation of columns, which is
+    recorded as the confirmed expected failure.
     """
+    a, b = rho_a.target, lambda_b.target
     check_id = f"triangle[{_label(a)},{_label(b)}]"
-    lhs = mult_tensor_morph_left(rho(a), b)
-    rhs = mult_tensor_morph_right(a, lambda_(b))
+    lhs = mult_tensor_morph_left(rho_a, b)
+    rhs = mult_tensor_morph_right(a, lambda_b)
     # The associator edge a(x)(e(x)b) -> (a(x)e)(x)b contributes identity
     # matrices, so composing with it leaves the matrices of lhs unchanged.
     equal = lhs == rhs
@@ -299,10 +303,8 @@ def check_triangle(
 # right-monoidal axioms (Ax.1 - Ax.5)
 
 
-def _ax2_single(
-    a: MatrixFactorization, b: MatrixFactorization, gamma_a: MfMorphism
-) -> CheckReport:
-    check_id = f"rm-ax2[{_label(a)},{_label(b)}]"
+def _ax2_single(gamma_a: MfMorphism, b: MatrixFactorization) -> CheckReport:
+    check_id = f"rm-ax2[{_label(gamma_a.source)},{_label(b)}]"
     # The reversed associator e (x) (a (x) b) -> (e (x) a) (x) b after gamma
     # is an identity pair, so it leaves the matrices of gamma(a (x) b) as
     # they are.
@@ -324,36 +326,32 @@ def _ax2_single(
     )
 
 
-def _ax3_single(m: MatrixFactorization, n: MatrixFactorization, rho_n: MfMorphism) -> CheckReport:
-    check_id = f"rm-ax3[{_label(m)},{_label(n)}]"
+def _ax3_single(m: MatrixFactorization, rho_n: MfMorphism) -> CheckReport:
+    check_id = f"rm-ax3[{_label(m)},{_label(rho_n.target)}]"
     # The associator m (x) (n (x) e) -> (m (x) n) (x) e before rho is an
     # identity pair, so it leaves the matrices of rho(m (x) n) as they are.
     rhs = mult_tensor_morph_right(m, rho_n)
-    lhs = rho(rhs.target)
-    if lhs == rhs:
-        return CheckReport(check_id, PASS, "Ax.3 holds")
-    return CheckReport(
-        check_id,
-        XFAIL_OK,
+    return _report(
+        check_id, rho(rhs.target) != rhs,
         "sides unequal: the doubling displaces the second identity block "
         "(reported as computed; non-equality of the axioms is the predicted "
         "behaviour)",
+        XFAIL_OK, "Ax.3 held unexpectedly",
     )
 
 
-def _ax4_single(
-    m: MatrixFactorization, n: MatrixFactorization, rho_m: MfMorphism, gamma_n: MfMorphism
-) -> CheckReport:
+def _ax4_single(rho_m: MfMorphism, gamma_n: MfMorphism) -> CheckReport:
+    m, n = rho_m.target, gamma_n.source
     check_id = f"rm-ax4[{_label(m)},{_label(n)}]"
     # The associator m (x) (e (x) n) -> (m (x) e) (x) n in the middle is an
     # identity pair; ``compose`` checks that its two endpoints are equal.
     composite = mult_tensor_morph_left(rho_m, n).compose(mult_tensor_morph_right(m, gamma_n))
-    if composite.is_identity():
-        return CheckReport(check_id, PASS, "Ax.4 holds")
-    return CheckReport(
-        check_id,
-        XFAIL_OK,
+    if m.size == 1:
+        return _report(check_id, composite.is_identity(), "Ax.4 holds", PASS, "Ax.4 failed at e")
+    return _report(
+        check_id, not composite.is_identity(),
         "composite is not the identity (fails away from e, as predicted)",
+        XFAIL_OK, "Ax.4 held unexpectedly away from e",
     )
 
 
@@ -362,10 +360,9 @@ def check_right_monoidal_axioms(maxpow: int) -> list[CheckReport]:
 
     Ax.1 is the pentagon, passing when all quadruples have literally equal
     vertices; Ax.2 must fail for every pair, with the two sides
-    row-permutation equivalent but not equal; Ax.3 and Ax.4 are reported as
-    computed: Ax.4 holds exactly when the left object is e, and Ax.3 is
-    XFAIL-OK on every pair, (e, e) included; Ax.5 holds.  ``maxpow`` below 1
-    raises ``MfcatError``, above 5 ``SizeGuardError``.
+    row-permutation equivalent but not equal; Ax.3 must fail on every pair,
+    (e, e) included, and Ax.4 hold exactly when the left object is e; Ax.5
+    holds.  ``maxpow`` below 1 raises ``MfcatError``, above 5 ``SizeGuardError``.
     """
     powers = _e_powers(maxpow)
     reports = [_all_held(
@@ -373,10 +370,9 @@ def check_right_monoidal_axioms(maxpow: int) -> list[CheckReport]:
         *_pentagon_sweep(powers),
         "{held}/{total} e-power quadruples satisfy the pentagon-shaped Ax.1",
     )]
-    unitors = [(power, gamma(power), rho(power)) for power in powers]
-    for (a, gamma_a, rho_a), (b, gamma_b, rho_b) in itertools.product(unitors, repeat=2):
-        reports += [_ax2_single(a, b, gamma_a), _ax3_single(a, b, rho_b),
-                    _ax4_single(a, b, rho_a, gamma_b)]
+    unitors = _unitors(powers)
+    for (a, gamma_a, _, rho_a), (b, gamma_b, _, rho_b) in itertools.product(unitors, repeat=2):
+        reports += [_ax2_single(gamma_a, b), _ax3_single(a, rho_b), _ax4_single(rho_a, gamma_b)]
 
     e = e_object()
     reports.append(_report(
@@ -431,11 +427,10 @@ def check_right_pseudo_monoidal(samples: int, seed: int) -> list[CheckReport]:
     rng = random.Random(seed ^ 0x5EED)
     pool = _sample_pool(samples, seed)
     e = pool[0]
-    # Each object's unitors, built once and read by rpm-1 to rpm-5.
-    unitors = [(obj, gamma(obj), lambda_(obj), rho(obj)) for obj in pool]
+    unitors = _unitors(pool)
     reports: list[CheckReport] = []
 
-    _, zeta_prime, zeta, _ = unitors[0]
+    _, zeta_prime, zeta, rho_e = unitors[0]
     reports.append(_report(
         "rpm-1-zeta-right-inverse", zeta.compose(zeta_prime).is_identity(),
         "zeta o zeta' == id_e, so zeta: e^2 -> e is a retraction", PASS,
@@ -473,15 +468,15 @@ def check_right_pseudo_monoidal(samples: int, seed: int) -> list[CheckReport]:
         "rho == lambda value-wise on {held}/{total} objects, including at e",
     ))
 
-    at_e = sum(check_triangle(e, obj).verdict == PASS for obj in pool)
+    at_e = sum(check_triangle(rho_e, lam).verdict == PASS for _, _, lam, _ in unitors)
     reports.append(_all_held(
         "rpm-6-triangle-at-e", at_e, len(pool),
         "triangle commutes at a=e against {total} sampled objects",
         fail_detail="triangle commutes at a=e against {held}/{total} sampled objects",
     ))
 
-    larger = [obj for obj in pool if obj.size >= 2]
-    away = sum(check_triangle(obj, rng.choice(pool)).verdict == XFAIL_OK for obj in larger)
+    larger = [r for obj, _, _, r in unitors if obj.size >= 2]
+    away = sum(check_triangle(r, rng.choice(unitors)[2]).verdict == XFAIL_OK for r in larger)
     reports.append(_all_held(
         "rpm-7-triangle-beyond-e", away, len(larger),
         "triangle fails (confirmed) for all {total} sampled objects of size >= 2",
@@ -625,12 +620,13 @@ def suite_all(
     powers = _e_powers(maxpow)
     # Built first, so a negative ``samples`` is rejected before any check runs.
     pool = _sample_pool(min(samples, 25), seed + 1)
-    for a, b in itertools.product(powers, repeat=2):
+    unitors = _unitors(powers)
+    for (a, gamma_a, _, rho_a), (b, gamma_b, lambda_b, _) in itertools.product(unitors, repeat=2):
         reports += [
             check_semiunit_diagram1(a, b),
-            check_semiunit_diagram2(a, b),
-            check_semiunit_diagram3(a, b),
-            check_triangle(a, b),
+            check_semiunit_diagram2(gamma_a, b),
+            check_semiunit_diagram3(a, gamma_b),
+            check_triangle(rho_a, lambda_b),
         ]
     reports.append(_all_held(
         f"pentagon[e-powers,maxpow={maxpow}]",

@@ -238,8 +238,10 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # Equal int and Fraction values hash alike, so this hashes by value.
-        return hash(frozenset(self._terms.items()))
+        # By value, as == compares: a constant as the number it equals (equal
+        # int and Fraction values hash alike), any other value by its terms.
+        terms = self._terms
+        return hash(terms.get((), 0) if self.is_constant() else frozenset(terms.items()))
 
     def __str__(self) -> str:
         return canonical_string(self)

@@ -153,8 +153,8 @@ def test_criterion_06_semiunital_suite():
         for j in range(1, 6):
             ok = ok and check_semiunit_diagram1(e_power(i), e_power(j)).verdict == PASS
             for report in (
-                check_semiunit_diagram2(e_power(i), e_power(j)),
-                check_semiunit_diagram3(e_power(i), e_power(j)),
+                check_semiunit_diagram2(gamma(e_power(i)), e_power(j)),
+                check_semiunit_diagram3(e_power(i), gamma(e_power(j))),
             ):
                 ok = ok and report.verdict == PASS
                 witness = dict(report.witnesses)["P"]
@@ -264,8 +264,8 @@ def test_criterion_11_right_pseudo_monoidal():
     e = e_object()
     ok = ok and lambda_(e).compose(gamma(e)) == e.identity_morphism()
     ok = ok and rho(e) == lambda_(e)
-    ok = ok and check_triangle(e, random_mf1(99, 3, 4)).verdict == PASS
-    ok = ok and check_triangle(random_mf1(98, 2, 4), e).verdict == XFAIL_OK
+    ok = ok and check_triangle(rho(e), lambda_(random_mf1(99, 3, 4))).verdict == PASS
+    ok = ok and check_triangle(rho(random_mf1(98, 2, 4)), lambda_(e)).verdict == XFAIL_OK
     _conclude("11-right-pseudo-monoidal", ok, "e plus 50 random objects, sizes <= 3")
 
 

@@ -5,6 +5,9 @@ import pytest
 
 from mfcat.axiom_suites import (
     _ax2_single,
+    _ax3_single,
+    _ax4_single,
+    _sample_pool,
     check_pentagon,
     check_right_monoidal_axioms,
     check_right_pseudo_monoidal,
@@ -152,7 +155,7 @@ def test_diagram1_reports_differing_bracketings():
 
 
 def test_diagram2_small_witness():
-    report = check_semiunit_diagram2(e_object(), e_object())
+    report = check_semiunit_diagram2(gamma(e_object()), e_object())
     assert report.verdict == PASS
     witness = dict(report.witnesses)["P"]
     assert (witness.rows, witness.cols) == (4, 4)
@@ -160,7 +163,7 @@ def test_diagram2_small_witness():
 
 
 def test_diagram2_sixteen_by_sixteen_witness():
-    report = check_semiunit_diagram2(e_power(2), e_power(2))
+    report = check_semiunit_diagram2(gamma(e_power(2)), e_power(2))
     assert report.verdict == PASS
     witness = dict(report.witnesses)["P"]
     assert (witness.rows, witness.cols) == (16, 16)
@@ -168,8 +171,8 @@ def test_diagram2_sixteen_by_sixteen_witness():
 
 
 def test_diagram3_cases():
-    assert check_semiunit_diagram3(e_object(), e_object()).verdict == PASS
-    report = check_semiunit_diagram3(e_power(3), e_object())
+    assert check_semiunit_diagram3(e_object(), gamma(e_object())).verdict == PASS
+    report = check_semiunit_diagram3(e_power(3), gamma(e_object()))
     assert report.verdict == PASS
     assert dict(report.witnesses)["P"].is_permutation_matrix()
 
@@ -177,10 +180,10 @@ def test_diagram3_cases():
 def test_triangle_passes_only_at_size_one():
     rng = random.Random(42)
     b = random_mf1(5, 2, 4)
-    assert check_triangle(e_object(), b).verdict == PASS
-    assert check_triangle(e_object(), e_object()).verdict == PASS
+    assert check_triangle(rho(e_object()), lambda_(b)).verdict == PASS
+    assert check_triangle(rho(e_object()), lambda_(e_object())).verdict == PASS
     for a in (e_power(2), random_mf1(6, 2, 4), random_mf1(7, 3, 4)):
-        report = check_triangle(a, e_object())
+        report = check_triangle(rho(a), lambda_(e_object()))
         assert report.verdict == XFAIL_OK
         names = dict(report.witnesses)
         assert "lhs_alpha" in names and "rhs_alpha" in names
@@ -246,6 +249,11 @@ def _recorded_instance():
     return a, e_power(2)
 
 
+def _diagram2_on_recorded_instance():
+    a, b = _recorded_instance()
+    return check_semiunit_diagram2(gamma(a), b)
+
+
 def test_counterexample_mf1_not_semiunital_reports_honestly():
     # The predicted failure does not occur: the canonical block-swap witness
     # commutes with the replicated block-diagonal M, so the check must say so
@@ -257,7 +265,7 @@ def test_counterexample_mf1_not_semiunital_reports_honestly():
     witness, m = names["P_prime"], names["M"]
     assert witness @ m == m @ witness
     # and the pair really is a valid morphism: diagram (2) commutes here
-    assert check_semiunit_diagram2(*_recorded_instance()).verdict == PASS
+    assert _diagram2_on_recorded_instance().verdict == PASS
 
 
 def test_rearrangement_equation_on_recorded_instance():
@@ -402,14 +410,17 @@ def _negate_first_nonzero_whiskered_morphism(real):
     return patched
 
 
+def _zeroed(morphism):
+    # The zero morphism between the same objects.
+    zero = PolyMatrix.zeros(morphism.alpha.rows, morphism.alpha.cols)
+    return MfMorphism(morphism.source, morphism.target, zero, zero)
+
+
 def _zero_at_e(real):
     # The unitor at e becomes the zero morphism between the same objects.
     def patched(a):
         unitor = real(a)
-        if a is not e_object():
-            return unitor
-        zero = PolyMatrix.zeros(unitor.alpha.rows, unitor.alpha.cols)
-        return MfMorphism(unitor.source, unitor.target, zero, zero)
+        return _zeroed(unitor) if a is e_object() else unitor
 
     return patched
 
@@ -451,13 +462,13 @@ def _fail_first_report(applies):
         ),
         (
             "check_triangle",
-            _fail_first_report(lambda a, b: a is e_object()),
+            _fail_first_report(lambda rho_a, lambda_b: rho_a.target is e_object()),
             lambda: check_right_pseudo_monoidal(10, 3),
             {"rpm-6-triangle-at-e": "triangle commutes at a=e against 10/11 sampled objects"},
         ),
         (
             "check_triangle",
-            _fail_first_report(lambda a, b: a is not e_object()),
+            _fail_first_report(lambda rho_a, lambda_b: rho_a.target is not e_object()),
             lambda: check_right_pseudo_monoidal(10, 3),
             {
                 "rpm-7-triangle-beyond-e":
@@ -539,31 +550,55 @@ _SWAP_0_2 = _permutation([2, 1, 0, *range(3, 16)])
 _NO_ROW = NotEquivalentError("no row matches")
 
 
+def _left_whisker_by_lambda(real):
+    # f (x) b becomes target(f) (x) lambda(b): the triangle's two sides, and
+    # Ax.4's a (x) lambda(b) o a (x) gamma(b) = id, then agree.
+    return lambda f, b: mult_tensor_morph_right(f.target, lambda_(b))
+
+
 @pytest.mark.parametrize(
     "target, patch, run, expected",
     [
         (
-            "lambda_",
-            _zero_at_e,
-            lambda: check_triangle(e_object(), e_object()),
+            None,
+            None,
+            lambda: check_triangle(rho(e_object()), _zeroed(lambda_(e_object()))),
             (FAIL, "triangle failed at size-1 left object"),
         ),
         (
             "mult_tensor_morph_left",
-            lambda real: lambda f, b: mult_tensor_morph_right(f.target, lambda_(b)),
-            lambda: check_triangle(e_power(2), e_object()),
+            _left_whisker_by_lambda,
+            lambda: check_triangle(rho(e_power(2)), lambda_(e_object())),
             (FAIL, "triangle held unexpectedly for size >= 2"),
+        ),
+        (
+            "mult_tensor_morph_right",
+            lambda real: lambda m, f: rho(mult_tensor(m, f.target)),
+            lambda: _ax3_single(e_object(), rho(e_object())),
+            (FAIL, "Ax.3 held unexpectedly"),
+        ),
+        (
+            "mult_tensor_morph_left",
+            lambda real: lambda f, b: _zeroed(real(f, b)),
+            lambda: _ax4_single(rho(e_object()), gamma(e_power(2))),
+            (FAIL, "Ax.4 failed at e"),
+        ),
+        (
+            "mult_tensor_morph_left",
+            _left_whisker_by_lambda,
+            lambda: _ax4_single(rho(e_power(2)), gamma(e_object())),
+            (FAIL, "Ax.4 held unexpectedly away from e"),
         ),
         (
             "find_permutation_witness",
             _raises(_NO_ROW),
-            lambda: check_semiunit_diagram2(e_object(), e_object()),
+            lambda: check_semiunit_diagram2(gamma(e_object()), e_object()),
             (FAIL, "no permutation witness: no row matches"),
         ),
         (
             "find_permutation_witness",
             _returns(_SWAP_0_2),
-            lambda: check_semiunit_diagram2(*_recorded_instance()),
+            _diagram2_on_recorded_instance,
             (
                 FAIL,
                 "witness pair is not a morphism: morphism condition fails: phi-square",
@@ -572,7 +607,7 @@ _NO_ROW = NotEquivalentError("no row matches")
         (
             "find_permutation_witness",
             _returns(PolyMatrix.identity(4)),
-            lambda: check_semiunit_diagram2(e_object(), e_object()),
+            lambda: check_semiunit_diagram2(gamma(e_object()), e_object()),
             (FAIL, "rearrangement failed"),
         ),
         (
@@ -629,6 +664,9 @@ _NO_ROW = NotEquivalentError("no row matches")
     ids=[
         "triangle-at-size-1",
         "triangle-beyond-size-1",
+        "rm-ax3",
+        "rm-ax4-at-e",
+        "rm-ax4-beyond-e",
         "rearrangement-no-witness",
         "rearrangement-not-a-morphism",
         "rearrangement-failed",
@@ -643,10 +681,12 @@ _NO_ROW = NotEquivalentError("no row matches")
 )
 def test_every_verdict_branch(monkeypatch, target, patch, run, expected):
     # Each single-instance check reaches the verdict and detail of a branch
-    # that the pinned data never takes once one step is patched.
+    # that the pinned data never takes once one step is patched (or, with no
+    # target, once it is handed a zero unitor).
     import mfcat.axiom_suites as suites
 
-    monkeypatch.setattr(suites, target, patch(getattr(suites, target)))
+    if target:
+        monkeypatch.setattr(suites, target, patch(getattr(suites, target)))
     report = run()
     assert (report.verdict, report.detail) == expected
 
@@ -668,13 +708,12 @@ def test_pseudo_monoidal_check_builds_each_objects_unitors_once(monkeypatch):
     assert len(calls) == 51
 
 
-def test_right_monoidal_axioms_build_each_powers_unitors_once(monkeypatch):
-    # Over e^1..e^3, Ax.2 to Ax.4 read one gamma and one rho per power; on
-    # top of those, each of the 9 pairs builds gamma(a (x) b) for Ax.2 and
-    # rho(a (x) b) for Ax.3, and Ax.5 one of each at e.
+def _unitor_calls(monkeypatch, names, run):
+    """How many times ``run()`` calls each unitor of ``mfcat.axiom_suites``
+    named in ``names``."""
     import mfcat.axiom_suites as suites
 
-    calls = {"gamma": 0, "rho": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(suites, name)
@@ -684,10 +723,32 @@ def test_right_monoidal_axioms_build_each_powers_unitors_once(monkeypatch):
             return real(a)
         return unitor
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(suites, name, counted(name))
-    check_right_monoidal_axioms(3)
+    run()
+    return calls
+
+
+def test_right_monoidal_axioms_build_each_powers_unitors_once(monkeypatch):
+    # Over e^1..e^3, Ax.2 to Ax.4 read one gamma and one rho per power; on
+    # top of those, each of the 9 pairs builds gamma(a (x) b) for Ax.2 and
+    # rho(a (x) b) for Ax.3, and Ax.5 one of each at e.
+    calls = _unitor_calls(monkeypatch, ("gamma", "rho"), lambda: check_right_monoidal_axioms(3))
     assert calls == {"gamma": 3 + 9 + 1, "rho": 3 + 9 + 1}
+
+
+def test_suite_builds_each_unitor_of_an_operand_once(monkeypatch):
+    # Over e^1..e^5 with the pool {e}, the pair sweep and the rm-axioms each
+    # build one table of 5 (gamma, lambda_, rho) and rpm one of 1.  Only the
+    # pair object's maps stay per pair: gamma(a (x) b) in diagrams (2) and
+    # (3) and Ax.2 (75), rho(a (x) b) in Ax.3 (25).  Ax.5 builds gamma and
+    # rho at e, and the mf1 counterexample its two gammas.
+    calls = _unitor_calls(monkeypatch, ("gamma", "lambda_", "rho"), lambda: suite_all(5, 0, 0))
+    assert calls == {
+        "gamma": 5 + 5 + 1 + 75 + 1 + 2,
+        "lambda_": 5 + 5 + 1,
+        "rho": 5 + 5 + 1 + 25 + 1,
+    }
 
 
 def test_triangle_witnesses_match_pairing_with_identity_morphisms():
@@ -697,8 +758,26 @@ def test_triangle_witnesses_match_pairing_with_identity_morphisms():
     for a, b in itertools.product(objects, repeat=2):
         lhs = naive_doubled_kronecker(rho(a).alpha, PolyMatrix.identity(b.size))
         rhs = naive_doubled_kronecker(PolyMatrix.identity(a.size), lambda_(b).alpha)
-        names = dict(check_triangle(a, b).witnesses)
+        names = dict(check_triangle(rho(a), lambda_(b)).witnesses)
         assert names["lhs_alpha"] == lhs and names["rhs_alpha"] == rhs
+
+
+def test_triangle_sides_are_column_but_not_row_permutation_equivalent():
+    # Beyond size 1 the two sides differ by a permutation of columns,
+    # lhs @ Q == rhs, never by one of rows (P @ lhs == rhs).
+    objects = [e_power(k) for k in range(1, 5)] + _sample_pool(12, 0)[1:]
+    pairs = 0
+    for a, b in itertools.product(objects, repeat=2):
+        if a.size < 2:
+            continue
+        names = dict(check_triangle(rho(a), lambda_(b)).witnesses)
+        lhs, rhs = names["lhs_alpha"], names["rhs_alpha"]
+        q = find_permutation_witness(lhs.transpose(), rhs.transpose()).transpose()
+        assert q.is_permutation_matrix() and lhs @ q == rhs
+        with pytest.raises(NotEquivalentError):
+            find_permutation_witness(lhs, rhs)
+        pairs += 1
+    assert pairs == 192
 
 
 def _raise_type_error(*args):
@@ -708,12 +787,12 @@ def _raise_type_error(*args):
 @pytest.mark.parametrize(
     "target, run",
     [
-        ("find_permutation_witness", lambda: check_semiunit_diagram2(e_object(), e_object())),
-        ("MfMorphism", lambda: check_semiunit_diagram2(e_object(), e_object())),
         (
             "find_permutation_witness",
-            lambda: _ax2_single(e_object(), e_object(), gamma(e_object())),
+            lambda: check_semiunit_diagram2(gamma(e_object()), e_object()),
         ),
+        ("MfMorphism", lambda: check_semiunit_diagram2(gamma(e_object()), e_object())),
+        ("find_permutation_witness", lambda: _ax2_single(gamma(e_object()), e_object())),
         ("MfMorphism", counterexample_mf1_not_semiunital),
     ],
     ids=["diagram2-witness", "diagram2-morphism", "ax2-witness", "mf1-counterexample-morphism"],

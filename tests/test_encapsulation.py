@@ -6,7 +6,8 @@ call its private helpers; the polynomial tokenizer is shared by
 :mod:`mfcat.polynomials` and the matrix-literal parser alone, and the
 sum-of-products kernel by ``*`` and the matrix product alone, and the
 number rule by polynomial arithmetic and matrix entries alone; verdicts
-(:mod:`mfcat.reporting`) by the check layer and the CLI alone.  A module
+(:mod:`mfcat.reporting`) by the check layer and the CLI alone, and within
+the check layer by its one verdict rule but for a listed few.  A module
 that reached past these lines would tie itself to one backend and could
 build values the constructor never checked.  The modules are read as text,
 never imported.
@@ -87,3 +88,38 @@ def test_only_the_check_layer_and_the_cli_import_reporting():
         path.name for path in SRC.glob("*.py") if "mfcat.reporting" in set(_imports(path))
     }
     assert importers - {"__init__.py"} == {"axiom_suites.py", "cli.py"}
+
+
+def _report_builders(path):
+    """Function name -> its calls of ``CheckReport(``, and how many of those
+    sit in an ``except`` branch."""
+    builders = {}
+    for function in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        in_handlers = {
+            id(node)
+            for handler in ast.walk(function) if isinstance(handler, ast.ExceptHandler)
+            for node in ast.walk(handler)
+        }
+        calls = [
+            node for node in ast.walk(function)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckReport"
+        ]
+        if calls:
+            builders[function.name] = (len(calls), sum(id(c) in in_handlers for c in calls))
+    return builders
+
+
+def test_verdicts_go_through_the_one_rule():
+    # Every verdict that a comparison decides is built by ``_report``.  The
+    # pentagon and semi-unit diagram (1) are PASS by construction; the
+    # rearrangement's two exception branches and Ax.2, which branches on
+    # whether a witness exists, build theirs directly.
+    assert _report_builders(SRC / "axiom_suites.py") == {
+        "_report": (2, 0),
+        "check_pentagon": (1, 0),
+        "check_semiunit_diagram1": (1, 0),
+        "_semiunit_rearrangement": (2, 2),
+        "_ax2_single": (3, 1),
+    }

@@ -447,6 +447,14 @@ def test_integral_product_of_rationals_is_one():
     assert type(product.constant_value()) is Fraction
 
 
+@pytest.mark.parametrize("value", [0, 1, -2, Fraction(1, 2), True])
+def test_constant_hashes_as_the_number_it_equals(value):
+    # == and hash agree, so a constant polynomial is found among numbers.
+    p = Polynomial.constant(value)
+    assert p == value and hash(p) == hash(value)
+    assert p in {value} and value in {p}
+
+
 def test_parsed_and_computed_values_agree():
     parsed = parse_polynomial("3/2*x^2 - 4*x*y + 2")
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
