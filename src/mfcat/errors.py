@@ -76,7 +76,8 @@ class ProductMismatchError(MfcatError):
     """phi*psi or psi*phi differs from potential*I.
 
     ``side`` names the offending product, ``coords`` the first entry (row-major)
-    where it disagrees with the expected scalar matrix.
+    where it disagrees with the expected scalar matrix.  ``"psi*phi"`` occurs
+    only at potential 0: otherwise phi*psi = potential*I implies psi*phi.
     """
 
     def __init__(self, side: str, coords: tuple[int, int]):
@@ -97,7 +98,8 @@ class SquareFailureError(MfcatError):
     """One of the two commuting squares of a would-be morphism fails.
 
     ``which`` is ``"phi-square"`` (alpha*phi1 = phi2*beta) or ``"psi-square"``
-    (psi2*alpha = beta*psi1).
+    (psi2*alpha = beta*psi1), which occurs only at potential 0: otherwise the
+    phi-square implies it.
     """
 
     def __init__(self, which: str):

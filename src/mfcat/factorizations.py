@@ -1,15 +1,21 @@
 """Matrix factorizations of polynomials and their morphisms.
 
 A matrix factorization of a polynomial f is a pair of n x n matrices
-(phi, psi) with phi*psi = psi*phi = f*I, both products checked exactly on
-construction.  The library never inverts a matrix symbolically: both factors
-are always supplied, and validation is two multiplications, each product
-compared entry by entry with f*I without building f*I.
+(phi, psi) with phi*psi = psi*phi = f*I, checked exactly on construction.
+The library never inverts a matrix symbolically: both factors are always
+supplied.  Over the domain Q[x, y, ...] with f != 0, phi*psi = f*I makes
+det(phi) nonzero, so psi*phi = f*I follows and validation is one
+multiplication; psi*phi is formed only at f = 0.  Each product is compared
+entry by entry with f*I without building f*I.
 
 A morphism (phi1, psi1) -> (phi2, psi2) between factorizations of the same f
 is a pair (alpha, beta) of n2 x n1 matrices making the two squares commute:
 
     alpha * phi1 = phi2 * beta        psi2 * alpha = beta * psi1
+
+With f != 0 the first implies the second (multiply it by psi2 on the left and
+psi1 on the right: f*(psi2*alpha - beta*psi1) = 0), so the psi-square is
+checked only at f = 0.
 
 Morphism equality is component-wise matrix equality; several of the negative
 results checked by this library hinge on matrices that are row-permutation
@@ -56,7 +62,8 @@ def _first_mismatch(product: PolyMatrix, potential: Polynomial) -> tuple[int, in
 
 
 class MatrixFactorization:
-    """A validated pair (phi, psi) with phi*psi = psi*phi = potential*I."""
+    """A validated pair (phi, psi) with phi*psi = psi*phi = potential*I; psi*phi
+    is formed only at potential 0, as phi*psi implies it otherwise."""
 
     __slots__ = ("potential", "phi", "psi", "size")
 
@@ -76,8 +83,7 @@ class MatrixFactorization:
         mismatch = _first_mismatch(phi @ psi, potential)
         if mismatch is not None:
             raise ProductMismatchError("phi*psi", mismatch)
-        mismatch = _first_mismatch(psi @ phi, potential)
-        if mismatch is not None:
+        if potential.is_zero() and (mismatch := _first_mismatch(psi @ phi, potential)) is not None:
             raise ProductMismatchError("psi*phi", mismatch)
         self.potential = potential
         self.phi = phi
@@ -113,7 +119,9 @@ class MatrixFactorization:
 
 
 class MfMorphism:
-    """A validated morphism between two factorizations of the same potential."""
+    """A validated morphism between two factorizations of the same potential;
+    the psi-square is checked only at potential 0, as the phi-square implies it
+    otherwise."""
 
     __slots__ = ("source", "target", "alpha", "beta")
 
@@ -135,7 +143,7 @@ class MfMorphism:
             )
         if alpha @ source.phi != target.phi @ beta:
             raise SquareFailureError("phi-square")
-        if target.psi @ alpha != beta @ source.psi:
+        if source.potential.is_zero() and target.psi @ alpha != beta @ source.psi:
             raise SquareFailureError("psi-square")
         self.source = source
         self.target = target

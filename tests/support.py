@@ -21,7 +21,7 @@ from mfcat.errors import (
 )
 from mfcat.factorizations import MatrixFactorization, MfMorphism
 from mfcat.matrices import PolyMatrix
-from mfcat.polynomials import MAX_EXPONENT, ONE, Polynomial, random_polynomial
+from mfcat.polynomials import MAX_EXPONENT, ONE, ZERO, Polynomial, random_polynomial
 from mfcat.t_subcategory import e_power
 
 
@@ -291,7 +291,7 @@ def _constant_unimodular(rng: random.Random, n: int, steps: int = 3):
 
 
 def random_valid_mf(
-    rng: random.Random, size: int, asymmetric: bool = False
+    rng: random.Random, size: int, asymmetric: bool = False, zero: bool = False
 ) -> MatrixFactorization:
     """A random factorization of a random product potential u*v.
 
@@ -299,6 +299,7 @@ def random_valid_mf(
     constant unimodular matrix, so entries stay within degree 2 and at most
     three variables.  With ``asymmetric=True`` the factors u and v live in
     different variables and at least one slot is swapped, forcing phi != psi.
+    With ``zero=True`` u is 0, so the potential is 0.
     """
     if asymmetric:
         u = Polynomial.variable("x") + Polynomial.constant(rng.randint(1, 3))
@@ -306,6 +307,8 @@ def random_valid_mf(
     else:
         u = random_polynomial(rng, max_degree=1, max_terms=2, allow_zero=False)
         v = random_polynomial(rng, max_degree=1, max_terms=2, allow_zero=False)
+    if zero:
+        u = ZERO
     f = u * v
     slots = []
     for index in range(size):

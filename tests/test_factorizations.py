@@ -1,4 +1,6 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,9 +23,14 @@ from mfcat.factorizations import (
     random_mf1,
 )
 from mfcat.matrices import PolyMatrix, parse_matrix
-from mfcat.polynomials import Polynomial, parse_polynomial
+from mfcat.polynomials import Polynomial, parse_polynomial, random_polynomial
 
-from support import random_mf1_morphism, random_matrix, random_valid_mf
+from support import (
+    naive_mat_mul,
+    random_matrix,
+    random_mf1_morphism,
+    random_valid_mf,
+)
 
 
 def intro_factorization():
@@ -227,7 +234,7 @@ def test_morphism_determined_by_one_component_in_mf1():
         tgt = random_mf1(rng.randrange(10**6), rng.randint(1, 3), 4)
         alpha = random_matrix(rng, tgt.size, src.size)
         beta = tgt.psi @ alpha @ src.phi
-        MfMorphism(src, tgt, alpha, beta)  # validates both squares
+        MfMorphism(src, tgt, alpha, beta)  # the phi-square, which implies the psi-square
         recovered = tgt.psi @ alpha @ src.phi
         assert recovered == beta
 
@@ -376,3 +383,120 @@ def test_validation_reports_the_entry_the_two_matrix_comparison_reports():
         for potential in values:
             assert _verdict(eye, eye, potential) == _oracle_verdict(eye, eye, potential)
     assert accepted > 50 and rejected > 50
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _square_oracle(source, target, alpha, beta):
+    """The morphism verdict from both squares, each side formed densely."""
+    if naive_mat_mul(alpha, source.phi) != naive_mat_mul(target.phi, beta):
+        return (SquareFailureError, "phi-square")
+    if naive_mat_mul(target.psi, alpha) != naive_mat_mul(beta, source.psi):
+        return (SquareFailureError, "psi-square")
+    return None
+
+
+def _morphism_verdict(source, target, alpha, beta):
+    try:
+        MfMorphism(source, target, alpha, beta)
+    except SquareFailureError as exc:
+        return (type(exc), exc.which)
+    return None
+
+
+def _plus(a, b):
+    return PolyMatrix.from_rows(
+        [[a.entry(i, j) + b.entry(i, j) for j in range(a.cols)] for i in range(a.rows)]
+    )
+
+
+def _perturbed(rng, m):
+    rows = m.to_rows()
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows[i][j] = rows[i][j] + random_polynomial(rng, max_degree=1, max_terms=2, allow_zero=False)
+    return PolyMatrix.from_rows(rows)
+
+
+def _candidate_morphisms(rng, source, target):
+    """(alpha, beta) pairs from source to target: a valid one
+    (phi2*h + k*psi1, h*phi1 + psi2*k), each component of it perturbed at one
+    entry, and two random pairs."""
+    h = random_matrix(rng, target.size, source.size)
+    k = random_matrix(rng, target.size, source.size)
+    alpha = _plus(target.phi @ h, k @ source.psi)
+    beta = _plus(h @ source.phi, target.psi @ k)
+    return [
+        (alpha, beta),
+        (alpha, _perturbed(rng, beta)),
+        (_perturbed(rng, alpha), beta),
+        (random_matrix(rng, target.size, source.size), random_matrix(rng, target.size, source.size)),
+        (PolyMatrix.zeros(target.size, source.size), random_matrix(rng, target.size, source.size)),
+    ]
+
+
+def test_morphism_validation_agrees_with_the_two_square_oracle():
+    # With a nonzero potential the phi-square implies the psi-square, so
+    # MfMorphism checks only the first; at potential 0 it checks both.
+    rng = random.Random(27)
+    unit = [random_mf1(seed, rng.randint(1, 3), 4) for seed in range(8)]
+    pool = [random_valid_mf(rng, rng.randint(1, 3), asymmetric=True) for _ in range(16)]
+    pool += [x.syzygy() for x in pool]
+    samples = [factorization_from_text((SAMPLES / name).read_text())
+               for name in ("intro.mf", "scaled.mf")]
+    zero = [random_valid_mf(rng, rng.randint(1, 3), zero=True) for _ in range(10)]
+    groups = {"unit": unit, "non-unit": pool + samples, "zero": zero}
+    outcomes = {name: set() for name in groups}
+    for name, objects in groups.items():
+        for source, target in itertools.product(objects, repeat=2):
+            if source.potential != target.potential:
+                continue
+            for alpha, beta in _candidate_morphisms(rng, source, target):
+                expected = _square_oracle(source, target, alpha, beta)
+                assert _morphism_verdict(source, target, alpha, beta) == expected
+                outcomes[name].add(expected and expected[1])
+    assert outcomes["unit"] == outcomes["non-unit"] == {None, "phi-square"}
+    assert outcomes["zero"] == {None, "phi-square", "psi-square"}
+
+
+def test_psi_phi_is_still_formed_at_potential_zero():
+    with pytest.raises(ProductMismatchError) as info:
+        MatrixFactorization(
+            parse_matrix("[[0, 1], [0, 0]]"), parse_matrix("[[1, 0], [0, 0]]"), Polynomial.zero()
+        )
+    assert str(info.value) == "psi*phi != potential*I, first mismatch at entry (0, 1)"
+
+
+def test_psi_square_is_still_checked_at_potential_zero():
+    x = MatrixFactorization(parse_matrix("[[0]]"), parse_matrix("[[1]]"), Polynomial.zero())
+    with pytest.raises(SquareFailureError) as info:
+        MfMorphism(x, x, PolyMatrix.identity(1), PolyMatrix.zeros(1, 1))
+    assert info.value.which == "psi-square"
+
+
+def _products(monkeypatch, build, *args):
+    """How many matrix products ``build(*args)`` forms."""
+    real = PolyMatrix.__matmul__
+    count = 0
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return real(a, b)
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", counted)
+    build(*args)
+    monkeypatch.undo()
+    return count
+
+
+def test_validation_forms_the_second_product_only_at_potential_zero(monkeypatch):
+    # phi*psi proves psi*phi, and the phi-square the psi-square, unless the
+    # potential is 0.
+    zero = random_valid_mf(random.Random(3), 2, zero=True)
+    for x, expected in ((trivial_e(), (1, 2)), (intro_factorization(), (1, 2)), (zero, (2, 4))):
+        eye = PolyMatrix.identity(x.size)
+        assert (
+            _products(monkeypatch, MatrixFactorization, x.phi, x.psi, x.potential),
+            _products(monkeypatch, MfMorphism, x, x, eye, eye),
+        ) == expected
