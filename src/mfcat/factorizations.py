@@ -1,10 +1,10 @@
 """Matrix factorizations of polynomials and their morphisms.
 
 A matrix factorization of a polynomial f is a pair of n x n matrices
-(phi, psi) with phi*psi = psi*phi = f*I, checked exactly on construction.
-The library never inverts a matrix symbolically: both factors are always
-supplied.  Over the domain Q[x, y, ...] with f != 0, phi*psi = f*I makes
-det(phi) nonzero, so psi*phi = f*I follows and validation is one
+(phi, psi) with phi*psi = psi*phi = f*I, checked exactly by the public
+constructor.  The library never inverts a matrix symbolically: both factors
+are always supplied.  Over the domain Q[x, y, ...] with f != 0, phi*psi =
+f*I makes det(phi) nonzero, so psi*phi = f*I follows and validation is one
 multiplication; psi*phi is formed only at f = 0.  Each product is compared
 entry by entry with f*I without building f*I.
 
@@ -16,6 +16,14 @@ is a pair (alpha, beta) of n2 x n1 matrices making the two squares commute:
 With f != 0 the first implies the second (multiply it by psi2 on the left and
 psi1 on the right: f*(psi2*alpha - beta*psi1) = 0), so the psi-square is
 checked only at f = 0.
+
+A closed construction on values that are already valid is valid by
+construction, so it wraps its result without re-proving it
+(:func:`_make_factorization`, :func:`_make_morphism`): the factor swap, the
+identity morphism, the composite ((alpha*alpha')*phi1 = alpha*phi2*beta' =
+phi3*(beta*beta'), and likewise for psi) and the tensor products of
+:mod:`mfcat.tensor_products`.  Every value a caller chooses goes through the
+validating constructors.
 
 Morphism equality is component-wise matrix equality; several of the negative
 results checked by this library hinge on matrices that are row-permutation
@@ -92,11 +100,11 @@ class MatrixFactorization:
 
     def syzygy(self) -> "MatrixFactorization":
         """Swap the two factors; an involution preserving potential and size."""
-        return MatrixFactorization(self.psi, self.phi, self.potential)
+        return _make_factorization(self.psi, self.phi, self.potential)
 
     def identity_morphism(self) -> "MfMorphism":
         eye = PolyMatrix.identity(self.size)
-        return MfMorphism(self, self, eye, eye)
+        return _make_morphism(self, self, eye, eye)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -154,7 +162,7 @@ class MfMorphism:
         """self o inner (apply ``inner`` first)."""
         if inner.target != self.source:
             raise ComposabilityError("inner.target != outer.source")
-        return MfMorphism(
+        return _make_morphism(
             inner.source,
             self.target,
             self.alpha @ inner.alpha,
@@ -185,6 +193,32 @@ class MfMorphism:
             f"MfMorphism({self.source.size} -> {self.target.size}, "
             f"potential={self.source.potential})"
         )
+
+
+def _make_factorization(
+    phi: PolyMatrix, psi: PolyMatrix, potential: Polynomial
+) -> MatrixFactorization:
+    """Wrap, unchecked, square factors of one size already known to satisfy
+    phi*psi = psi*phi = potential*I."""
+    x = object.__new__(MatrixFactorization)
+    x.potential = potential
+    x.phi = phi
+    x.psi = psi
+    x.size = phi.rows
+    return x
+
+
+def _make_morphism(
+    source: MatrixFactorization, target: MatrixFactorization, alpha: PolyMatrix, beta: PolyMatrix
+) -> MfMorphism:
+    """Wrap, unchecked, components already known to make both squares commute
+    between two factorizations of one potential."""
+    m = object.__new__(MfMorphism)
+    m.source = source
+    m.target = target
+    m.alpha = alpha
+    m.beta = beta
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,20 @@ potentials:
   computed once and stored at both block positions.
 
 The multiplicative product also acts on morphisms, making it a bifunctor.
-The tensor of two morphisms is built and validated by one body,
+The tensor of two morphisms is built by one body,
 :func:`mult_tensor_morph_pair`; whiskering by an object y is, as in any
-monoidal category, pairing with the identity morphism of y, whose validation
-is O(1).  This module only builds values: the verdicts on them, such as the
-syzygy identity, come from :mod:`mfcat.axiom_suites`.
+monoidal category, pairing with the identity morphism of y.  This module only
+builds values: the verdicts on them, such as the syzygy identity, come from
+:mod:`mfcat.axiom_suites`.
+
+Each construction here is valid whenever its operands are, by the
+mixed-product rule (A (x) B)(C (x) D) = AC (x) BD applied blockwise, so it
+wraps its result without forming a product.  For the multiplicative product
+(phi (x) phi')(psi (x) psi') = f*I (x) g*I; for the additive one the diagonal
+blocks give (f + g)*I and the off-diagonal blocks cancel; for a tensor of
+morphisms each square is the Kronecker product of the operands' squares.  At
+potential 0 this uses psi*phi = f*I too, which validation checked when each
+operand was built.
 
 Variable disjointness between the two factors is deliberately not enforced;
 identifying variables (in particular for potential 1) is a supported use.
@@ -30,14 +39,14 @@ identifying variables (in particular for potential 1) is a supported use.
 
 from __future__ import annotations
 
-from .factorizations import MatrixFactorization, MfMorphism
+from .factorizations import MatrixFactorization, MfMorphism, _make_factorization, _make_morphism
 from .matrices import PolyMatrix, block2x2, kronecker
 
 
 def yoshino_tensor(
     x: MatrixFactorization, y: MatrixFactorization
 ) -> MatrixFactorization:
-    """The additive tensor product, a validated factorization of f + g."""
+    """The additive tensor product, a factorization of f + g."""
     eye_n = PolyMatrix.identity(x.size)
     eye_m = PolyMatrix.identity(y.size)
     phi_block = kronecker(x.phi, eye_m)
@@ -54,14 +63,14 @@ def yoshino_tensor(
         kronecker(eye_n, y.psi),
         phi_block,
     )
-    return MatrixFactorization(first, second, x.potential + y.potential)
+    return _make_factorization(first, second, x.potential + y.potential)
 
 
 def mult_tensor(
     x: MatrixFactorization, y: MatrixFactorization
 ) -> MatrixFactorization:
-    """The multiplicative tensor product, a validated factorization of f*g."""
-    return MatrixFactorization(
+    """The multiplicative tensor product, a factorization of f*g."""
+    return _make_factorization(
         kronecker(x.phi, y.phi, 2),
         kronecker(x.psi, y.psi, 2),
         x.potential * y.potential,
@@ -80,7 +89,7 @@ def mult_tensor_morph_right(x: MatrixFactorization, z: MfMorphism) -> MfMorphism
 
 def mult_tensor_morph_pair(zf: MfMorphism, zg: MfMorphism) -> MfMorphism:
     """The tensor product of two morphisms."""
-    return MfMorphism(
+    return _make_morphism(
         mult_tensor(zf.source, zg.source),
         mult_tensor(zf.target, zg.target),
         kronecker(zf.alpha, zg.alpha, 2),

@@ -324,6 +324,25 @@ def random_valid_mf(
     return MatrixFactorization(t @ phi @ t_inv, t @ psi @ t_inv, f)
 
 
+def _matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    return PolyMatrix.from_rows(
+        [[a.entry(i, j) + b.entry(i, j) for j in range(a.cols)] for i in range(a.rows)]
+    )
+
+
+def null_homotopic_pair(
+    rng: random.Random, source: MatrixFactorization, target: MatrixFactorization
+) -> tuple[PolyMatrix, PolyMatrix]:
+    """(phi2*h + k*psi1, h*phi1 + psi2*k) for random h and k: a morphism
+    source -> target at every potential, 0 included."""
+    h = random_matrix(rng, target.size, source.size)
+    k = random_matrix(rng, target.size, source.size)
+    return (
+        _matrix_sum(target.phi @ h, k @ source.psi),
+        _matrix_sum(h @ source.phi, target.psi @ k),
+    )
+
+
 def random_mf1_morphism(
     rng: random.Random, src: MatrixFactorization, tgt: MatrixFactorization
 ) -> MfMorphism:

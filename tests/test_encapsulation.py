@@ -5,7 +5,8 @@ entries (``_entries``), and only :mod:`mfcat.matrices` may read either or
 call its private helpers; the polynomial tokenizer is shared by
 :mod:`mfcat.polynomials` and the matrix-literal parser alone, and the
 sum-of-products kernel by ``*`` and the matrix product alone, and the
-number rule by polynomial arithmetic and matrix entries alone; verdicts
+number rule by polynomial arithmetic and matrix entries alone, the trusted
+object and morphism constructors by the closed constructions alone; verdicts
 (:mod:`mfcat.reporting`) by the check layer and the CLI alone, and within
 the check layer by its one verdict rule but for a listed few.  A module
 that reached past these lines would tie itself to one backend and could
@@ -24,6 +25,7 @@ MATRIX_PRIVATE = re.compile(
 )
 PARSER_PRIVATE = re.compile(r"\b(?:_tokenize|_position|_parse_sum)\b")
 KERNEL_PRIVATE = re.compile(r"\b_packed_product\b")
+TRUSTED_CONSTRUCTORS = re.compile(r"\b(?:_make_factorization|_make_morphism)\b")
 NUMBER_RULE = re.compile(r"\b_coerce\b")
 
 
@@ -59,6 +61,15 @@ def test_sum_of_products_kernel_stays_in_the_two_arithmetic_modules():
     uses = _uses(KERNEL_PRIVATE)
     assert uses.pop("polynomials.py") == ["_packed_product"]
     assert uses.pop("matrices.py") == ["_packed_product"]
+    assert uses == {}
+
+
+def test_trusted_constructors_stay_with_the_closed_constructions():
+    # The check layer and the CLI build objects and morphisms from values a
+    # caller or a search chose, so they keep the validating constructors.
+    uses = _uses(TRUSTED_CONSTRUCTORS)
+    assert uses.pop("factorizations.py") == ["_make_factorization", "_make_morphism"]
+    assert uses.pop("tensor_products.py") == ["_make_factorization", "_make_morphism"]
     assert uses == {}
 
 

@@ -24,9 +24,11 @@ from mfcat.factorizations import (
 )
 from mfcat.matrices import PolyMatrix, parse_matrix
 from mfcat.polynomials import Polynomial, parse_polynomial, random_polynomial
+from mfcat.tensor_products import mult_tensor, mult_tensor_morph_pair, yoshino_tensor
 
 from support import (
     naive_mat_mul,
+    null_homotopic_pair,
     random_matrix,
     random_mf1_morphism,
     random_valid_mf,
@@ -405,12 +407,6 @@ def _morphism_verdict(source, target, alpha, beta):
     return None
 
 
-def _plus(a, b):
-    return PolyMatrix.from_rows(
-        [[a.entry(i, j) + b.entry(i, j) for j in range(a.cols)] for i in range(a.rows)]
-    )
-
-
 def _perturbed(rng, m):
     rows = m.to_rows()
     i, j = rng.randrange(m.rows), rng.randrange(m.cols)
@@ -422,10 +418,7 @@ def _candidate_morphisms(rng, source, target):
     """(alpha, beta) pairs from source to target: a valid one
     (phi2*h + k*psi1, h*phi1 + psi2*k), each component of it perturbed at one
     entry, and two random pairs."""
-    h = random_matrix(rng, target.size, source.size)
-    k = random_matrix(rng, target.size, source.size)
-    alpha = _plus(target.phi @ h, k @ source.psi)
-    beta = _plus(h @ source.phi, target.psi @ k)
+    alpha, beta = null_homotopic_pair(rng, source, target)
     return [
         (alpha, beta),
         (alpha, _perturbed(rng, beta)),
@@ -500,3 +493,25 @@ def test_validation_forms_the_second_product_only_at_potential_zero(monkeypatch)
             _products(monkeypatch, MatrixFactorization, x.phi, x.psi, x.potential),
             _products(monkeypatch, MfMorphism, x, x, eye, eye),
         ) == expected
+
+
+def test_closed_constructions_form_no_validation_product(monkeypatch):
+    # A closed construction on valid values is valid by construction, so it
+    # forms no product to re-prove it; a composite forms its two components.
+    # The doors for caller-chosen values still validate.
+    rng = random.Random(28)
+    zero = random_valid_mf(rng, 2, zero=True)
+    for x, door in ((trivial_e(), (1, 2)), (intro_factorization(), (1, 2)), (zero, (2, 4))):
+        z = MfMorphism(x, x, *null_homotopic_pair(rng, x, x))
+        assert [
+            _products(monkeypatch, mult_tensor, x, x),
+            _products(monkeypatch, yoshino_tensor, x, x),
+            _products(monkeypatch, x.syzygy),
+            _products(monkeypatch, mult_tensor_morph_pair, z, z),
+            _products(monkeypatch, x.identity_morphism),
+            _products(monkeypatch, z.compose, z),
+        ] == [0, 0, 0, 0, 0, 2]
+        assert (
+            _products(monkeypatch, factorization_from_text, factorization_to_text(x)),
+            _products(monkeypatch, MfMorphism, x, x, z.alpha, z.beta),
+        ) == door

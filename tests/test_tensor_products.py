@@ -1,12 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfcat.axiom_suites import check_syzygy_identity
 from mfcat.errors import SizeGuardError
-from mfcat.factorizations import MatrixFactorization, random_mf1
+from mfcat.factorizations import MatrixFactorization, MfMorphism, factorization_from_text, random_mf1
 from mfcat.matrices import PolyMatrix, direct_sum, kronecker, parse_matrix
-from mfcat.polynomials import ONE, Polynomial, parse_polynomial
+from mfcat.polynomials import ONE, Polynomial, parse_polynomial, random_polynomial
 from mfcat.reporting import PASS
 from mfcat.t_subcategory import e_object, e_power, gamma, lambda_
 from mfcat.tensor_products import (
@@ -18,8 +20,13 @@ from mfcat.tensor_products import (
 )
 
 from support import (
+    dense_block2x2,
+    dense_leading_diagonal,
     naive_doubled_kronecker,
     naive_kronecker,
+    naive_mat_mul,
+    naive_mul,
+    null_homotopic_pair,
     random_matrix,
     random_mf1_morphism,
     random_valid_mf,
@@ -269,3 +276,90 @@ def test_doubled_kronecker_of_identities_stays_on_the_identity_backend():
     explicit = PolyMatrix(2, 2, {(0, 0): ONE, (1, 1): ONE})
     doubled = kronecker(explicit, PolyMatrix.identity(3), 2)
     assert doubled.is_identity() and doubled._map == range(12)
+
+
+# ---------------------------------------------------------------------------
+# the closed constructions wrap their results unchecked: cross-check them
+
+
+INTRO = factorization_from_text(
+    (Path(__file__).resolve().parent.parent / "samples" / "intro.mf").read_text()
+)
+KINDS = ("mf1", "zero", "intro", "rank1")
+
+
+def _object(kind, seed):
+    """A valid object of the given kind: a random MF(1) object or potential-0
+    object of size 1-3, the x^2 + y^2 sample, or a rank-one ([a], [b]) of a*b."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 3)
+    if kind == "mf1":
+        return random_mf1(seed, size, rng.randint(0, 4))
+    if kind == "zero":
+        return random_valid_mf(rng, size, zero=True)
+    if kind == "intro":
+        return INTRO
+    a, b = (random_polynomial(rng, allow_zero=False) for _ in range(2))
+    return MatrixFactorization(PolyMatrix(1, 1, {(0, 0): a}), PolyMatrix(1, 1, {(0, 0): b}), a * b)
+
+
+def _revalidated(x):
+    """``x`` through the validating constructor, as (phi, psi, potential)."""
+    y = MatrixFactorization(x.phi, x.psi, x.potential)
+    return y.phi, y.psi, y.potential
+
+
+def _revalidated_morphism(z):
+    w = MfMorphism(z.source, z.target, z.alpha, z.beta)
+    return _revalidated(w.source), _revalidated(w.target), w.alpha, w.beta
+
+
+def _oracle_mult(x, y):
+    return (
+        naive_doubled_kronecker(x.phi, y.phi),
+        naive_doubled_kronecker(x.psi, y.psi),
+        naive_mul(x.potential, y.potential),
+    )
+
+
+def _oracle_yoshino(x, y):
+    eye_n, eye_m = dense_leading_diagonal(x.size, x.size), dense_leading_diagonal(y.size, y.size)
+    minus_n = PolyMatrix.from_rows([[-int(i == j) for j in range(x.size)] for i in range(x.size)])
+    phi_block, psi_block = naive_kronecker(x.phi, eye_m), naive_kronecker(x.psi, eye_m)
+    return (
+        dense_block2x2(phi_block, naive_kronecker(eye_n, y.phi),
+                       naive_kronecker(minus_n, y.psi), psi_block),
+        dense_block2x2(psi_block, naive_kronecker(minus_n, y.phi),
+                       naive_kronecker(eye_n, y.psi), phi_block),
+        x.potential + y.potential,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(KINDS), st.integers(0, 2**32), st.sampled_from(KINDS), st.integers(0, 2**32))
+def test_closed_constructions_validate_and_match_the_dense_oracle(kind_x, seed_x, kind_y, seed_y):
+    # Nothing re-proves these results when they are built, so a Kronecker or
+    # block-placement bug would surface only here.
+    x, y = _object(kind_x, seed_x), _object(kind_y, seed_y)
+    assert _revalidated(mult_tensor(x, y)) == _oracle_mult(x, y)
+    assert _revalidated(yoshino_tensor(x, y)) == _oracle_yoshino(x, y)
+    swapped = x.syzygy()
+    assert _revalidated(swapped) == (x.psi, x.phi, x.potential)
+
+    rng = random.Random(seed_x ^ seed_y)
+    there = MfMorphism(x, swapped, *null_homotopic_pair(rng, x, swapped))
+    back = MfMorphism(swapped, x, *null_homotopic_pair(rng, swapped, x))
+    on_y = MfMorphism(y, y, *null_homotopic_pair(rng, y, y))
+    eye, x_parts = dense_leading_diagonal(x.size, x.size), (x.phi, x.psi, x.potential)
+    assert _revalidated_morphism(x.identity_morphism()) == (x_parts, x_parts, eye, eye)
+    assert _revalidated_morphism(back.compose(there)) == (
+        x_parts, x_parts,
+        naive_mat_mul(back.alpha, there.alpha), naive_mat_mul(back.beta, there.beta),
+    )
+    for zf, zg in ((there, on_y), (there, y.identity_morphism()), (x.identity_morphism(), on_y)):
+        assert _revalidated_morphism(mult_tensor_morph_pair(zf, zg)) == (
+            _oracle_mult(zf.source, zg.source),
+            _oracle_mult(zf.target, zg.target),
+            naive_doubled_kronecker(zf.alpha, zg.alpha),
+            naive_doubled_kronecker(zf.beta, zg.beta),
+        )
