@@ -31,10 +31,10 @@ Values are immutable; all operations are pure and thread-safe.  The module
 offers only the arithmetic the library runs: there is no matrix sum, and
 the block constructions are :func:`direct_sum` and :func:`block2x2`.
 
-A size guard rejects results beyond ``MAX_SIDE`` per dimension: tensor
-constructions double sizes, and the guard turns runaway growth into a clear
-error instead of memory exhaustion.  Printing is guarded the same way: a
-dense matrix literal of more than ``MAX_PRINT_ENTRIES`` entries is refused.
+A size guard rejects results beyond ``MAX_SIDE`` per dimension, so tensor
+constructions, which double sizes, fail clearly instead of exhausting memory;
+:func:`kronecker` tests its size once and derives the a (x) b message only on
+failure.  Printing refuses a dense literal of over ``MAX_PRINT_ENTRIES`` entries.
 
 Matrix literals are read from one token list of the polynomial parser, each
 entry in place, so an error carries one position, counted from the start of
@@ -276,15 +276,16 @@ def _make_matrix(
 
 
 def kronecker(a: PolyMatrix, b: PolyMatrix, copies: int = 1) -> PolyMatrix:
-    """I_copies (x) (a (x) b): the Kronecker product, each entry a_ij replaced
-    by the block a_ij * b, repeated ``copies`` times down the diagonal.  Each
-    entry product is computed once and stored at every copy."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    _guard(rows, cols)  # an oversized a (x) b is reported at its own size
-    _guard(copies * rows, copies * cols)
-    if a.is_identity() and b.is_identity():
-        return _make_matrix(copies * rows, copies * rows, None, range(copies * rows))
-    if a.is_sub_permutation01() and b.is_sub_permutation01():
+    """I_copies (x) (a (x) b), each entry product formed once.  The size is tested
+    once; only on failure is a (x) b guarded alone, to report it at its own size."""
+    rows, cols, left, right = a.rows * b.rows, a.cols * b.cols, a._map, b._map
+    height, width = copies * rows, copies * cols
+    if not (0 < height <= MAX_SIDE and 0 < width <= MAX_SIDE):
+        _guard(rows, cols)
+        _guard(height, width)
+    if type(left) is range and type(right) is range:
+        return _make_matrix(height, height, None, range(height))
+    if left is not None and right is not None:
         return _map_kronecker(a, b, copies)
     entries: dict[tuple[int, int], Polynomial] = {}
     for i, j, p in a.items():
@@ -294,13 +295,12 @@ def kronecker(a: PolyMatrix, b: PolyMatrix, copies: int = 1) -> PolyMatrix:
                 entries[(n * rows + r, n * cols + c)] = pq
     # only all-1 products (of units) or none at all can form a map
     if all(p.is_one() for p in entries.values()):
-        return PolyMatrix(copies * rows, copies * cols, entries)
-    return _make_matrix(copies * rows, copies * cols, entries, None)
+        return PolyMatrix(height, width, entries)
+    return _make_matrix(height, width, entries, None)
 
 
 def _map_kronecker(a: PolyMatrix, b: PolyMatrix, copies: int) -> PolyMatrix:
-    """:func:`kronecker` of two column maps, not both identities, by index
-    arithmetic alone."""
+    """:func:`kronecker` of two column maps, not both identities, by index arithmetic."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
     block = [None if i is None or k is None else i * b.rows + k for i in a._map for k in b._map]
     return _make_matrix(copies * rows, copies * cols, None, tuple([

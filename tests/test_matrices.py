@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mfcat import matrices
 from mfcat.errors import DimensionMismatchError, MatrixSyntaxError, SizeGuardError
 from mfcat.matrices import (
     MAX_SIDE,
@@ -20,6 +21,7 @@ from support import (
     dense_block2x2,
     dense_hstack,
     dense_vstack,
+    naive_doubled_kronecker,
     naive_kronecker,
     naive_mat_mul,
     random_matrix,
@@ -194,14 +196,56 @@ def test_size_guard():
     with pytest.raises(SizeGuardError):
         PolyMatrix.identity(MAX_SIDE + 1)
     big = PolyMatrix.identity(MAX_SIDE // 2 + 1)
-    with pytest.raises(SizeGuardError):
-        kronecker(big, PolyMatrix.identity(2))
+    # an oversized a (x) b is reported at its own size, whatever the copies
+    for copies in (1, 2):
+        with pytest.raises(SizeGuardError) as info:
+            kronecker(big, PolyMatrix.identity(2), copies)
+        assert str(info.value) == "result size 1048578x1048578 exceeds the guard (1048576 per side)"
     # within the guard as big (x) I_1, past it only through the copies
     with pytest.raises(SizeGuardError) as info:
         kronecker(big, PolyMatrix.identity(1), 2)
     assert str(info.value) == "result size 1048578x1048578 exceeds the guard (1048576 per side)"
+    # side exactly MAX_SIDE through the copies is within the guard
+    assert kronecker(PolyMatrix.identity(MAX_SIDE // 2), PolyMatrix.identity(1), 2) == (
+        PolyMatrix.identity(MAX_SIDE)
+    )
+    # fewer than one copy is refused on the identity, map and entry paths
+    swap = PolyMatrix.permutation([1, 0])
+    dense = PolyMatrix.from_rows([["x", 1], [0, "y"]])
+    for a, b in ((big, PolyMatrix.identity(1)), (swap, swap), (dense, swap), (dense, dense)):
+        for copies in (0, -1):
+            with pytest.raises(DimensionMismatchError, match="must be positive"):
+                kronecker(a, b, copies)
     with pytest.raises(SizeGuardError):
         direct_sum(big, big)
+
+
+def test_kronecker_guards_only_a_failing_size(monkeypatch):
+    calls = []
+
+    def counted(rows, cols):
+        calls.append((rows, cols))
+        return guard(rows, cols)
+
+    guard = matrices._guard
+    swap, x = PolyMatrix.permutation([1, 0]), PolyMatrix.from_rows([["x", "y"], [0, "x"]])
+    big, one = PolyMatrix.identity(MAX_SIDE // 2 + 1), PolyMatrix.identity(1)
+    # identity (x) identity, map (x) map and dict (x) dict
+    pairs = [(PolyMatrix.identity(2), PolyMatrix.identity(3)), (swap, swap), (x, x)]
+    expected = [naive_doubled_kronecker(a, b) for a, b in pairs]
+    # and side exactly MAX_SIDE through the copies
+    pairs.append((PolyMatrix.identity(MAX_SIDE // 2), one))
+    expected.append(PolyMatrix.identity(MAX_SIDE))
+    monkeypatch.setattr(matrices, "_guard", counted)
+    assert [kronecker(a, b, 2) for a, b in pairs] == expected
+    assert calls == []
+    # a failing size still raises through the guard, a (x) b checked first
+    with pytest.raises(SizeGuardError):
+        kronecker(big, one, 2)
+    assert calls == [(MAX_SIDE // 2 + 1,) * 2, (MAX_SIDE + 2,) * 2]
+    with pytest.raises(DimensionMismatchError):
+        kronecker(x, x, 0)
+    assert calls[2:] == [(4, 4), (0, 0)]
 
 
 def test_matrix_literal_round_trip():
