@@ -140,6 +140,10 @@ class MfMorphism:
         alpha: PolyMatrix,
         beta: PolyMatrix,
     ):
+        if not (isinstance(source, MatrixFactorization) and isinstance(target, MatrixFactorization)
+                and isinstance(alpha, PolyMatrix) and isinstance(beta, PolyMatrix)):
+            raise TypeError("a morphism takes two MatrixFactorization endpoints and two PolyMatrix "
+                            "components; PolyMatrix.from_rows makes one from a list of rows")
         if source.potential != target.potential:
             raise PotentialMismatchError(
                 f"source potential {source.potential} != target potential {target.potential}"

@@ -20,7 +20,7 @@ from mfcat.axiom_suites import (
     counterexample_mf1_not_semiunital,
     suite_all,
 )
-from mfcat.errors import MfcatError, NotEquivalentError, SizeGuardError
+from mfcat.errors import MfcatError, NotEquivalentError, SizeGuardError, SquareFailureError
 from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
 from mfcat.matrices import PolyMatrix, parse_matrix
 from mfcat.polynomials import Polynomial
@@ -285,6 +285,33 @@ def test_recorded_instance_routes_end_at_one_object():
     top = mult_tensor_morph_left(gamma(a), b)
     direct = gamma(mult_tensor(a, b))
     assert top.target == direct.target
+
+
+@pytest.mark.parametrize(
+    "witness, expected",
+    [
+        (lambda top, direct: find_permutation_witness(top.alpha, direct.alpha), True),
+        (lambda top, direct: _SWAP_0_2, False),
+        (lambda top, direct: PolyMatrix.identity(16), True),
+    ],
+    ids=["canonical", "swap-0-2", "identity"],
+)
+def test_validating_the_witness_pair_is_the_commutation_test(witness, expected):
+    # Both routes of the recorded instance end at the one object with phi =
+    # M = I_4 (x) K, at potential 1, so (P, P) validates exactly when
+    # P M == M P: the mf1 counterexample decides from that validation.
+    a, b = _recorded_instance()
+    top = mult_tensor_morph_left(gamma(a), b)
+    direct = gamma(top.source)
+    assert top.target == direct.target
+    p, m = witness(top, direct), top.target.phi
+    try:
+        MfMorphism(top.target, direct.target, p, p)
+        validates = True
+    except SquareFailureError as exc:
+        assert exc.which == "phi-square"
+        validates = False
+    assert validates == (p @ m == m @ p) == expected
 
 
 def test_suite_all_is_deterministic_and_sorted():
@@ -660,6 +687,18 @@ def _left_whisker_by_lambda(real):
             counterexample_mf1_not_semiunital,
             (FAIL, "no permutation witness: no row matches"),
         ),
+        (
+            "mult_tensor_morph_left",
+            lambda real: lambda f, b: gamma(real(f, b).source),
+            lambda: _ax2_single(gamma(e_object()), e_object()),
+            (FAIL, "Ax.2 held unexpectedly"),
+        ),
+        (
+            "find_permutation_witness",
+            _raises(_NO_ROW),
+            lambda: _ax2_single(gamma(e_object()), e_object()),
+            (FAIL, "sides differ but are not row-permutation equivalent: no row matches"),
+        ),
     ],
     ids=[
         "triangle-at-size-1",
@@ -677,6 +716,8 @@ def _left_whisker_by_lambda(real):
         "mf1-counterexample-confirmed",
         "mf1-counterexample-unexpected",
         "mf1-counterexample-no-witness",
+        "rm-ax2-held",
+        "rm-ax2-no-witness",
     ],
 )
 def test_every_verdict_branch(monkeypatch, target, patch, run, expected):

@@ -125,12 +125,12 @@ def _report_builders(path):
 def test_verdicts_go_through_the_one_rule():
     # Every verdict that a comparison decides is built by ``_report``.  The
     # pentagon and semi-unit diagram (1) are PASS by construction; the
-    # rearrangement's two exception branches and Ax.2, which branches on
-    # whether a witness exists, build theirs directly.
+    # rearrangement's two exception branches and Ax.2's one, taken when no
+    # witness exists, build theirs directly.
     assert _report_builders(SRC / "axiom_suites.py") == {
         "_report": (2, 0),
         "check_pentagon": (1, 0),
         "check_semiunit_diagram1": (1, 0),
         "_semiunit_rearrangement": (2, 2),
-        "_ax2_single": (3, 1),
+        "_ax2_single": (1, 1),
     }

@@ -26,6 +26,9 @@ PROGRAMMING_ERRORS = {
     "otherwise be split into one-character entries",
     ("MatrixFactorization.__init__", "TypeError"): "a factor that is no PolyMatrix or a potential "
     "that is no Polynomial; the object door coerces nothing",
+    ("MfMorphism.__init__", "TypeError"): "an endpoint that is no MatrixFactorization or a "
+    "component that is no PolyMatrix (a list of rows, None), which would otherwise end in an "
+    "AttributeError; the morphism door coerces nothing",
     ("PolyMatrix.entry", "IndexError"): "an index outside the matrix, as for a sequence",
     ("Polynomial.__init__", "ValueError"): "a variable the scanner would not read as one "
     "whole name, or an exponent that is not a non-negative int",

@@ -97,6 +97,27 @@ def test_the_object_door_refuses_values_it_would_have_to_coerce(
         MatrixFactorization(phi, psi, potential)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda e, eye: MfMorphism(e, e, [[1]], [[1]]),
+        lambda e, eye: MfMorphism(e, e, eye, [[1]]),
+        lambda e, eye: MfMorphism(None, e, eye, eye),
+        lambda e, eye: MfMorphism(e, "e", eye, eye),
+    ],
+    ids=["list-components", "list-beta", "none-source", "str-target"],
+)
+def test_the_morphism_door_refuses_values_of_the_wrong_type(monkeypatch, make):
+    # One TypeError that names what the door takes, where these used to end
+    # in an AttributeError: before the potentials are read and before any
+    # product is formed.
+    e, eye = trivial_e(), PolyMatrix.identity(1)
+    monkeypatch.setattr(PolyMatrix, "__matmul__", lambda a, b: pytest.fail("a product was formed"))
+    with pytest.raises(TypeError, match=r"^a morphism takes two MatrixFactorization endpoints "
+                       r"and two PolyMatrix components; PolyMatrix\.from_rows makes one"):
+        make(e, eye)
+
+
 def test_zero_potential_accepted():
     z = PolyMatrix.zeros(2, 2)
     x = MatrixFactorization(z, random_matrix(random.Random(0), 2, 2), Polynomial.zero())
