@@ -289,7 +289,7 @@ def check_triangle(rho_a: MfMorphism, lambda_b: MfMorphism) -> CheckReport:
     return _report(
         check_id, not equal,
         f"sides differ for left object of size {a.size} "
-        "(permutation-similar but not equal), as predicted",
+        "(column-permutation equivalent but not equal), as predicted",
         XFAIL_OK, "triangle held unexpectedly for size >= 2", witnesses,
     )
 

@@ -805,8 +805,9 @@ def test_triangle_witnesses_match_pairing_with_identity_morphisms():
 
 def test_triangle_sides_are_column_but_not_row_permutation_equivalent():
     # Beyond size 1 the two sides differ by a permutation of columns,
-    # lhs @ Q == rhs, never by one of rows (P @ lhs == rhs).
-    objects = [e_power(k) for k in range(1, 5)] + _sample_pool(12, 0)[1:]
+    # lhs @ Q == rhs, never by one of rows (P @ lhs == rhs), as the XFAIL-OK
+    # detail says; e^1..e^5 are the powers that the pinned suite prints.
+    objects = [e_power(k) for k in range(1, 6)] + _sample_pool(12, 0)[1:]
     pairs = 0
     for a, b in itertools.product(objects, repeat=2):
         if a.size < 2:
@@ -818,7 +819,7 @@ def test_triangle_sides_are_column_but_not_row_permutation_equivalent():
         with pytest.raises(NotEquivalentError):
             find_permutation_witness(lhs, rhs)
         pairs += 1
-    assert pairs == 192
+    assert pairs == 221
 
 
 def _raise_type_error(*args):
