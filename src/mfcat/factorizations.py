@@ -35,7 +35,6 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 import random
-import re
 
 from .errors import (
     ComposabilityError,
@@ -296,13 +295,13 @@ def factorization_to_text(x: MatrixFactorization) -> str:
 
 def factorization_from_text(text: str | bytes) -> MatrixFactorization:
     """Parse the line-oriented factorization format; validation included.
-    Bytes are read as UTF-8; an invalid byte is reported before any other error."""
+    Bytes must be UTF-8; the first invalid byte is reported at its line, before any other error."""
     if isinstance(text, bytes):
-        # surrogateescape decodes each invalid byte b to chr(0xDC00 + b).
-        text = text.decode("utf-8", "surrogateescape")
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            if bad := re.search("[\udc80-\udcff]", raw):
-                raise MfFileError(f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}", lineno)
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+            raise MfFileError(f"invalid UTF-8 byte 0x{text[exc.start]:02x}", lineno) from None
     fields: dict[str, object] = {}
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -65,6 +65,8 @@ ColumnMap = Sequence[int | None]
 
 
 def _guard(rows: int, cols: int) -> None:
+    if type(rows) is not int or type(cols) is not int:  # a bool is refused too
+        raise TypeError(f"matrix sides must be ints, not {rows!r} and {cols!r}")
     if rows > MAX_SIDE or cols > MAX_SIDE:
         raise SizeGuardError(
             f"result size {rows}x{cols} exceeds the guard ({MAX_SIDE} per side)"
@@ -104,6 +106,8 @@ class PolyMatrix:
         cleaned: dict[tuple[int, int], Polynomial] = {}
         ones = True
         for (i, j), value in entries.items():
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"entry index {(i, j)!r} is not a pair of ints")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
             if not isinstance(value, Polynomial):

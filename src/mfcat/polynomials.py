@@ -39,16 +39,17 @@ coefficient -1, so canonical output always re-parses.  A variable's exponent
 within a term, summed over its factors, may not exceed ``MAX_EXPONENT``.
 
 The parser reads a value as one list of tokens, made by one ``findall`` call,
-and walks it by index.  A term's ``(name, exponent)`` pairs go through the
-term rule once, and a sum is collected into one term mapping, its
-coefficients ``int`` until a ``/`` is read, and built once by :func:`_make`,
-so parsing is linear in the input.  An error names one 0-based position in
-the text read, found only then, by scanning the text again; matrix literals
-are read the same way (see :mod:`mfcat.matrices`).  ``*`` and every matrix
-product entry share one kernel, :func:`_packed_product`: within one call
-each monomial is packed into an int, so a monomial product is one int
-addition; stored monomials stay tuples (the README design note gives the
-measured traffic).
+and walks it by index.  A term sums each variable's exponents as it reads
+its factors, so an overflow is raised at the factor that crosses the limit,
+and goes through the term rule once; a sum is collected into one term
+mapping, its coefficients ``int`` until a ``/`` is read, and built once by
+:func:`_make`, so parsing is linear in the input.  An error names one
+0-based position in the text read, found only then, by scanning the text
+again; matrix literals are read the same way (see :mod:`mfcat.matrices`).
+``*`` and every matrix product entry share one kernel,
+:func:`_packed_product`: within one call each monomial is packed into an
+int, so a monomial product is one int addition; stored monomials stay
+tuples (the README design note gives the measured traffic).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .errors import (
     ExponentOverflowError,
     MalformedRationalError,
     PolynomialSyntaxError,
+    SizeGuardError,
 )
 
 Monomial = tuple[tuple[str, int], ...]
@@ -353,19 +355,26 @@ def _grlex_key(monomial: Monomial) -> tuple:
 
 
 def canonical_string(p: Polynomial) -> str:
-    """Deterministic textual form; re-parses to an equal polynomial."""
+    """Deterministic textual form; re-parses to an equal polynomial.  Raises
+    :class:`SizeGuardError` for a coefficient beyond the interpreter's
+    int-string digit limit."""
     if p.is_zero():
         return "0"
     parts: list[str] = []
     for index, monomial in enumerate(sorted(p._terms, key=_grlex_key)):
         coefficient = p._terms[monomial]
-        magnitude = abs(coefficient)
+        try:
+            magnitude = str(abs(coefficient))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            message = f"a coefficient exceeds the limit of {limit} digits for printing"
+            raise SizeGuardError(message) from None
         factors = "*".join(
             f"{var}^{exp}" if exp > 1 else var for var, exp in monomial
         )
         if not factors:
-            body = str(magnitude)
-        elif magnitude == 1:
+            body = magnitude
+        elif magnitude == "1":
             body = factors
         else:
             body = f"{magnitude}*{factors}"
@@ -429,42 +438,25 @@ def _parse_term(text: str, tokens: list[str], i: int) -> tuple[Monomial, Coeffic
             i += 1
         elif not tokens[i][:1].isalpha():
             return (), coefficient, i
-    start, pairs = i, []
-    try:
-        while True:
-            name, exponent = tokens[i], 1
-            if not name[:1].isalpha():
-                message = "expected a variable" if pairs else "expected a term"
-                raise PolynomialSyntaxError(message, _position(text, i))
-            if tokens[i + 1] == "^":
-                if not tokens[i + 2].isdecimal():
-                    message = "expected an exponent after '^'"
-                    raise PolynomialSyntaxError(message, _position(text, i + 1) + 1)
-                exponent, i = _numeral(text, tokens, i + 2), i + 2
-            pairs.append((name, exponent))
-            if tokens[i + 1] != "*":
-                break
-            i += 2
-    finally:  # an overflow is reported before any later error in its term
-        monomial = _monomial(pairs)
-        if monomial and max(exp for _, exp in monomial) > MAX_EXPONENT:
-            _raise_overflow(text, tokens, start, pairs)
-    return monomial, coefficient, i + 1
-
-
-def _raise_overflow(text: str, tokens: list[str], i: int, pairs: list[tuple[str, int]]) -> None:
-    """Raise :class:`ExponentOverflowError` at the first factor of ``pairs``,
-    read from token ``i`` on, whose variable's exponent in the term so far
-    exceeds ``MAX_EXPONENT`` (x^a*x^b is x^(a+b), and its canonical form must
-    parse again): just after its '^', or at its name if it has none."""
     sums: dict[str, int] = {}
-    for name, exponent in pairs:
-        caret = tokens[i + 1] == "^"
+    while True:
+        name, exponent = tokens[i], 1
+        if not name[:1].isalpha():
+            message = "expected a variable" if sums else "expected a term"
+            raise PolynomialSyntaxError(message, _position(text, i))
+        if caret := tokens[i + 1] == "^":
+            if not tokens[i + 2].isdecimal():
+                message = "expected an exponent after '^'"
+                raise PolynomialSyntaxError(message, _position(text, i + 1) + 1)
+            exponent, i = _numeral(text, tokens, i + 2), i + 2
+        # x^a*x^b is x^(a+b), and its canonical form must parse again
         sums[name] = total = sums.get(name, 0) + exponent
-        if total > MAX_EXPONENT:
-            position = _position(text, i + 1) + 1 if caret else _position(text, i)
+        if total > MAX_EXPONENT:  # just after the '^', or at the name if it has none
+            position = _position(text, i - 1) + 1 if caret else _position(text, i)
             raise ExponentOverflowError(f"exponent {total} exceeds limit {MAX_EXPONENT}", position)
-        i += 4 if caret else 2  # past the factor and the '*' after it
+        if tokens[i + 1] != "*":
+            return _monomial(sums.items()), coefficient, i + 1
+        i += 2
 
 
 def _parse_sum(text: str, tokens: list[str], i: int) -> tuple[Polynomial, int]:

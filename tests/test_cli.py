@@ -229,6 +229,22 @@ def test_tensor_refuses_output_the_reader_would_reject(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_coefficients_beyond_the_digit_limit_are_refused_at_printing(tmp_path, capsys):
+    # Each file reads, but a coefficient to print has more digits than the
+    # interpreter's int-string limit: one error line, no traceback.
+    limit = sys.get_int_max_str_digits()
+    power = "1" + "0" * (limit // 2)  # squared by the tensor product
+    nines = "9" * limit + " + 1"  # read as two numerals, printed as one
+    wide = tmp_path / "wide.mf"
+    wide.write_text(f"potential = {power}\nphi = [[{power}]]\npsi = [[1]]\n")
+    sum_ = tmp_path / "sum.mf"
+    sum_.write_text(f"potential = {nines}\nphi = [[{nines}]]\npsi = [[1]]\n")
+    for argv in (["tensor", str(wide), str(wide)], ["validate", str(sum_)], ["syzygy", str(sum_)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: a coefficient exceeds the limit of {limit} digits for printing\n"
+
+
 def test_tensor_names_the_file_that_fails(tmp_path, capsys):
     good = str(SAMPLES / "e.mf")
     mismatch = tmp_path / "mismatch.mf"

@@ -20,8 +20,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mfcat"
 
 PROGRAMMING_ERRORS = {
     ("_coerce_entry", "TypeError"): "a matrix entry of a type that is no polynomial or number",
+    ("_guard", "TypeError"): "a matrix side that is no int (a float, a bool), which would "
+    "otherwise be accepted and fail only when the matrix is printed or multiplied",
     ("PolyMatrix.__init__", "TypeError"): "entries that are no mapping, such as a column map, "
-    "which is the matrix module's own storage format",
+    "which is the matrix module's own storage format, or an entry index that is no pair of "
+    "ints (a float, a bool), which would otherwise fail only when the matrix is printed",
     ("PolyMatrix.from_rows", "TypeError"): "a string given as the rows or as a row, which would "
     "otherwise be split into one-character entries",
     ("MatrixFactorization.__init__", "TypeError"): "a factor that is no PolyMatrix or a potential "

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mfcat.errors import (
     ComposabilityError,
@@ -321,6 +321,10 @@ _MF_BYTES = st.lists(
 
 
 @given(_MF_BYTES)
+@example(b"x = 1\r\n\xff")  # line 2, 0xff
+@example(b"\xc2\x85\xe2\x82")  # line 2, 0xe2: NEL, then a cut-off sequence
+@example(b"\r\xed\xb3\xbf")  # line 2, 0xed: an encoded surrogate
+@example(b"\xe2\x80\xa8\r\n\x1c\xc3")  # line 4, 0xc3
 def test_invalid_utf8_is_reported_at_its_line(data):
     # The oracle numbers lines as str.splitlines does on the valid prefix.
     try:

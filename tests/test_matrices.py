@@ -721,8 +721,17 @@ def test_both_doors_read_entries_by_the_number_rule():
         lambda: PolyMatrix.from_rows(["x1"]),
         lambda: PolyMatrix.from_rows("ab"),
         lambda: PolyMatrix.from_rows([[1, 2], "ab"]),
+        lambda: PolyMatrix(2.0, 2, {}),
+        lambda: PolyMatrix(2, True, {}),
+        lambda: PolyMatrix.zeros(2, 1.0),
+        lambda: PolyMatrix.identity(2.0),
+        lambda: PolyMatrix(2, 2, {(0.5, 0): "x"}),
+        lambda: PolyMatrix(2, 2, {(0, False): "x"}),
+        lambda: PolyMatrix(2, 2, {(2.0, 0): "x"}),  # out of range too: the type is refused first
     ],
-    ids=["float-entry", "float-row", "none-entry", "string-row", "string-rows", "string-second-row"],
+    ids=["float-entry", "float-row", "none-entry", "string-row", "string-rows", "string-second-row",
+         "float-side", "bool-side", "zeros-float-side", "identity-float-side", "float-index",
+         "bool-index", "float-index-out-of-range"],
 )
 def test_doors_raise_type_error_on_inputs_they_do_not_read(build):
     with pytest.raises(TypeError):

@@ -13,6 +13,7 @@ from mfcat.errors import (
     MalformedRationalError,
     ParseError,
     PolynomialSyntaxError,
+    SizeGuardError,
 )
 from mfcat.polynomials import (
     MAX_EXPONENT,
@@ -69,6 +70,16 @@ def test_canonical_negative_leading_term():
     p = parse_polynomial("-x^2 - 5/3")
     assert canonical_string(p) == "-x^2 - 5/3"
     assert parse_polynomial(canonical_string(p)) == p
+
+
+def test_printing_refuses_a_coefficient_beyond_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    x = Polynomial.variable("x")
+    assert str(x + (10**limit - 1)) == "x + " + "9" * limit
+    for p in (x + 10**limit, Fraction(1, 10**limit) * x, Polynomial.constant(-(10**limit))):
+        with pytest.raises(SizeGuardError) as info:
+            str(p)
+        assert str(info.value) == f"a coefficient exceeds the limit of {limit} digits for printing"
 
 
 def test_parse_implicit_coefficient_star():
@@ -254,6 +265,8 @@ _MALFORMED = [
     ("x^9999999", ExponentOverflowError, "exponent 9999999 exceeds limit 1000000", 2),
     ("x^600000*x^600000", ExponentOverflowError, "exponent 1200000 exceeds limit", 11),
     ("x^1000000*x", ExponentOverflowError, "exponent 1000001 exceeds limit", 10),
+    ("x^999999*y*x^2", ExponentOverflowError, "exponent 1000001 exceeds limit", 13),
+    ("x^1000000*y*x", ExponentOverflowError, "exponent 1000001 exceeds limit", 12),
     # an error sits just after its '^' or '/', not on the token after it
     ("x^ y", PolynomialSyntaxError, "expected an exponent after '^'", 2),
     ("3/ 0", MalformedRationalError, "zero denominator", 2),
