@@ -176,9 +176,6 @@ class MfMorphism:
         """Both components are identity matrices."""
         return self.alpha.is_identity() and self.beta.is_identity()
 
-    def is_nonzero(self) -> bool:
-        return not (self.alpha.is_zero_matrix() and self.beta.is_zero_matrix())
-
     def __eq__(self, other: object) -> bool:
         # Component-wise matrix equality only; the stated endpoints do not
         # participate.  Two equal-matrix morphisms with different (equal-sized)

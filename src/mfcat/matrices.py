@@ -10,8 +10,8 @@ only, reads each value by the number rule (a string as a literal), checks
 every index, drops zeros and picks the backend, so the choice is canonical:
 the sub-permutation tests are O(1), and matrices on different backends are
 unequal.  Results that are in range, nonzero and canonical by construction
-skip it (:func:`_make_matrix`): ``identity``, ``zeros``, ``permutation``
-after its own check, a product or Kronecker product of two maps, and the
+skip it (:func:`_make_matrix`): ``identity``, ``permutation`` after its
+own check, a product or Kronecker product of two maps, and the
 entry path of :func:`kronecker` (products of nonzero polynomials are
 nonzero, and unless all are 1, as for units like -1 * -1, the result is a
 dict matrix).  Everything else, parsed input included, is checked: a
@@ -28,8 +28,10 @@ side 2**19.
 multiplicative tensor product come from the same code as a plain a (x) b.
 
 Values are immutable; all operations are pure and thread-safe.  The module
-offers only the arithmetic the library runs: there is no matrix sum, and
-the block constructions are :func:`direct_sum` and :func:`block2x2`.
+offers only the arithmetic the library runs: there is no matrix sum, no
+scalar multiple and no single-entry read (``to_rows`` and ``items`` read
+entries), and the block constructions are :func:`direct_sum` and
+:func:`block2x2`.
 
 A size guard rejects results beyond ``MAX_SIDE`` per dimension, so tensor
 constructions, which double sizes, fail clearly instead of exhausting memory;
@@ -99,15 +101,16 @@ class PolyMatrix:
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], EntryLike]):
         if not isinstance(entries, Mapping):
             raise TypeError("entries must be a mapping (row, col) -> value; build 0/1 matrices "
-                            "with PolyMatrix.permutation, PolyMatrix.zeros or a dict of ones")
+                            "with PolyMatrix.permutation or a dict of ones")
         _guard(rows, cols)
         self.rows = rows
         self.cols = cols
         cleaned: dict[tuple[int, int], Polynomial] = {}
         ones = True
-        for (i, j), value in entries.items():
+        for key, value in entries.items():
+            i, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             if type(i) is not int or type(j) is not int:
-                raise TypeError(f"entry index {(i, j)!r} is not a pair of ints")
+                raise TypeError(f"entry index {key!r} is not a pair of ints")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
             if not isinstance(value, Polynomial):
@@ -128,11 +131,6 @@ class PolyMatrix:
     def identity(n: int) -> "PolyMatrix":
         _guard(n, n)
         return _make_matrix(n, n, None, range(n))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "PolyMatrix":
-        _guard(rows, cols)
-        return _make_matrix(rows, cols, None, (None,) * cols)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[EntryLike]]) -> "PolyMatrix":
@@ -158,13 +156,6 @@ class PolyMatrix:
 
     # -- access ---------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        if self._map is not None:
-            return ONE if self._map[j] == i else ZERO
-        return self._entries.get((i, j), ZERO)
-
     def items(self) -> Iterator[tuple[int, int, Polynomial]]:
         """Iterate the nonzero entries as ``(row, col, value)``."""
         if self._map is not None:
@@ -185,9 +176,6 @@ class PolyMatrix:
 
     def is_identity(self) -> bool:
         return type(self._map) is range
-
-    def is_zero_matrix(self) -> bool:
-        return self._map is not None and self._map.count(None) == self.cols
 
     def is_sub_permutation01(self) -> bool:
         """Entries in {0,1} with at most one 1 per row and per column."""
@@ -216,14 +204,6 @@ class PolyMatrix:
                 self.rows, other.cols, None, _canonical_map(self.rows, other.cols, composed)
             )
         return PolyMatrix(self.rows, other.cols, _packed_product(self.items(), other.items()))
-
-    def __mul__(self, scalar) -> "PolyMatrix":
-        p = _coerce_entry(scalar)
-        return PolyMatrix(
-            self.rows, self.cols, {(i, j): p * q for i, j, q in self.items()}
-        )
-
-    __rmul__ = __mul__
 
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix(

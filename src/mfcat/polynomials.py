@@ -130,10 +130,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return ZERO
-
-    @staticmethod
     def one() -> "Polynomial":
         return ONE
 
@@ -143,10 +139,6 @@ class Polynomial:
         if p is None:
             raise TypeError(f"not an int or a Fraction: {value!r}")
         return p
-
-    @staticmethod
-    def variable(name: str, exponent: int = 1) -> "Polynomial":
-        return Polynomial({((name, exponent),): 1})
 
     # -- queries -------------------------------------------------------------
 
@@ -162,17 +154,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(monomial == () for monomial in self._terms)
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (raises otherwise)."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms.get((), 0))
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(exp for _, exp in m) for m in self._terms)
 
     def max_exponent(self) -> int:
         """The largest exponent of any one variable (0 for a constant)."""

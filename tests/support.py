@@ -39,31 +39,33 @@ def naive_mul(p: Polynomial, q: Polynomial) -> Polynomial:
                 exps[var] = exps.get(var, 0) + e
             key = tuple(sorted(exps.items()))
             out[key] = out.get(key, Fraction(0)) + coeff_p * coeff_q
-    total = Polynomial.zero()
+    total = ZERO
     for key, coeff in out.items():
         total = total + Polynomial({key: coeff})
     return total
 
 
 def naive_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    dense_a, dense_b = a.to_rows(), b.to_rows()
     rows = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
-            total = Polynomial.zero()
+            total = ZERO
             for k in range(a.cols):
-                total = total + naive_mul(a.entry(i, k), b.entry(k, j))
+                total = total + naive_mul(dense_a[i][k], dense_b[k][j])
             row.append(total)
         rows.append(row)
     return PolyMatrix.from_rows(rows)
 
 
 def naive_kronecker(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    dense_a, dense_b = a.to_rows(), b.to_rows()
     rows = []
     for i in range(a.rows * b.rows):
         row = []
         for j in range(a.cols * b.cols):
-            row.append(naive_mul(a.entry(i // b.rows, j // b.cols), b.entry(i % b.rows, j % b.cols)))
+            row.append(naive_mul(dense_a[i // b.rows][j // b.cols], dense_b[i % b.rows][j % b.cols]))
         rows.append(row)
     return PolyMatrix.from_rows(rows)
 
@@ -302,8 +304,8 @@ def random_valid_mf(
     With ``zero=True`` u is 0, so the potential is 0.
     """
     if asymmetric:
-        u = Polynomial.variable("x") + Polynomial.constant(rng.randint(1, 3))
-        v = Polynomial.variable("y") + Polynomial.constant(rng.randint(1, 3))
+        u = Polynomial({(("x", 1),): 1}) + Polynomial.constant(rng.randint(1, 3))
+        v = Polynomial({(("y", 1),): 1}) + Polynomial.constant(rng.randint(1, 3))
     else:
         u = random_polynomial(rng, max_degree=1, max_terms=2, allow_zero=False)
         v = random_polynomial(rng, max_degree=1, max_terms=2, allow_zero=False)
@@ -326,7 +328,7 @@ def random_valid_mf(
 
 def _matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_rows(
-        [[a.entry(i, j) + b.entry(i, j) for j in range(a.cols)] for i in range(a.rows)]
+        [[p + q for p, q in zip(row_a, row_b)] for row_a, row_b in zip(a.to_rows(), b.to_rows())]
     )
 
 

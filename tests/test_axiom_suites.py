@@ -429,7 +429,7 @@ def _negate_first_nonzero_whiskered_morphism(real):
     negated = []
 
     def patched(x, z):
-        if not negated and z.is_nonzero():
+        if not negated and z.alpha.nnz() + z.beta.nnz() > 0:
             negated.append(z)
             z = MfMorphism(z.source, z.target, -z.alpha, -z.beta)
         return real(x, z)
@@ -439,7 +439,7 @@ def _negate_first_nonzero_whiskered_morphism(real):
 
 def _zeroed(morphism):
     # The zero morphism between the same objects.
-    zero = PolyMatrix.zeros(morphism.alpha.rows, morphism.alpha.cols)
+    zero = PolyMatrix(morphism.alpha.rows, morphism.alpha.cols, {})
     return MfMorphism(morphism.source, morphism.target, zero, zero)
 
 
@@ -544,7 +544,7 @@ def _raises(exc):
 def _zero_components(real):
     # Every morphism is built with zero components instead of its own.
     def patched(source, target, alpha, beta):
-        zero = PolyMatrix.zeros(alpha.rows, alpha.cols)
+        zero = PolyMatrix(alpha.rows, alpha.cols, {})
         return real(source, target, zero, zero)
 
     return patched

@@ -24,7 +24,8 @@ PROGRAMMING_ERRORS = {
     "otherwise be accepted and fail only when the matrix is printed or multiplied",
     ("PolyMatrix.__init__", "TypeError"): "entries that are no mapping, such as a column map, "
     "which is the matrix module's own storage format, or an entry index that is no pair of "
-    "ints (a float, a bool), which would otherwise fail only when the matrix is printed",
+    "ints (a float, a bool, a triple, a bare int), which would otherwise fail only when the "
+    "matrix is printed, or in a ValueError when the index is unpacked",
     ("PolyMatrix.from_rows", "TypeError"): "a string given as the rows or as a row, which would "
     "otherwise be split into one-character entries",
     ("MatrixFactorization.__init__", "TypeError"): "a factor that is no PolyMatrix or a potential "
@@ -32,12 +33,10 @@ PROGRAMMING_ERRORS = {
     ("MfMorphism.__init__", "TypeError"): "an endpoint that is no MatrixFactorization or a "
     "component that is no PolyMatrix (a list of rows, None), which would otherwise end in an "
     "AttributeError; the morphism door coerces nothing",
-    ("PolyMatrix.entry", "IndexError"): "an index outside the matrix, as for a sequence",
     ("Polynomial.__init__", "ValueError"): "a variable the scanner would not read as one "
     "whole name, or an exponent that is not a non-negative int",
     ("Polynomial.constant", "TypeError"): "a coefficient that is no exact rational (a float "
     "or a string), as for int()",
-    ("Polynomial.constant_value", "ValueError"): "the value of a non-constant polynomial",
 }
 
 

@@ -50,7 +50,7 @@ def test_parse_cancellation():
 
 def test_canonical_examples():
     assert canonical_string(parse_polynomial("y^2 + x^2")) == "x^2 + y^2"
-    assert canonical_string(Polynomial.zero()) == "0"
+    assert canonical_string(ZERO) == "0"
     assert canonical_string(parse_polynomial("3/2*x*y")) == "3/2*x*y"
 
 
@@ -74,7 +74,7 @@ def test_canonical_negative_leading_term():
 
 def test_printing_refuses_a_coefficient_beyond_the_digit_limit():
     limit = sys.get_int_max_str_digits()
-    x = Polynomial.variable("x")
+    x = Polynomial({(("x", 1),): 1})
     assert str(x + (10**limit - 1)) == "x + " + "9" * limit
     for p in (x + 10**limit, Fraction(1, 10**limit) * x, Polynomial.constant(-(10**limit))):
         with pytest.raises(SizeGuardError) as info:
@@ -143,7 +143,7 @@ def _term_value(term):
     coefficient, factors = term
     value = Polynomial.constant(1 if coefficient is None else coefficient)
     for var, exp in factors:
-        value = value * Polynomial.variable(var, exp)
+        value = value * Polynomial({((var, exp),): 1})
     return value
 
 
@@ -178,11 +178,11 @@ def test_constructor_reads_a_term_as_the_parser_does(terms):
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: Polynomial.variable("2x"), ValueError),
-        (lambda: Polynomial.variable(" x"), ValueError),
-        (lambda: Polynomial.variable("_x"), ValueError),
-        (lambda: Polynomial.variable(""), ValueError),
-        (lambda: Polynomial.variable("x", -1), ValueError),
+        (lambda: Polynomial({(("2x", 1),): 1}), ValueError),
+        (lambda: Polynomial({((" x", 1),): 1}), ValueError),
+        (lambda: Polynomial({(("_x", 1),): 1}), ValueError),
+        (lambda: Polynomial({(("", 1),): 1}), ValueError),
+        (lambda: Polynomial({(("x", -1),): 1}), ValueError),
         (lambda: Polynomial({(("x", 1.5),): 1}), ValueError),
         (lambda: Polynomial({(("x", 1),): 0.1}), TypeError),
         (lambda: Polynomial({(): "1/3"}), TypeError),
@@ -207,7 +207,7 @@ def test_constructor_takes_a_name_exactly_when_the_parser_reads_it(name):
     except ParseError:
         read = False
     try:
-        Polynomial.variable(name)
+        Polynomial({((name, 1),): 1})
     except ValueError as exc:
         assert str(exc) == f"not a variable name: {name!r}"
         assert not read
@@ -238,9 +238,9 @@ def test_audit_rejects_a_variable_named_twice():
 def test_exponent_bound_applies_to_a_variable_within_a_term():
     # x^600000*x^600000 used to parse to x^1200000, which does not re-parse.
     assert parse_polynomial("x^1000000*y^1000000 + x^1000000") == (
-        Polynomial.variable("x", 10**6) * (Polynomial.variable("y", 10**6) + 1)
+        Polynomial({(("x", 10**6),): 1}) * (Polynomial({(("y", 10**6),): 1}) + 1)
     )
-    assert parse_polynomial("x^0*x^1000000") == Polynomial.variable("x", 10**6)
+    assert parse_polynomial("x^0*x^1000000") == Polynomial({(("x", 10**6),): 1})
     for text in ("x^600000*x^600000", "x^1000000*x", "y*x^999999*x*x"):
         with pytest.raises(ExponentOverflowError):
             parse_polynomial(text)
@@ -317,8 +317,14 @@ def test_scanner_character_classes(text, expected):
 
 def test_addition_identity_and_cancellation():
     p = parse_polynomial("x^2 + y^2")
-    assert p + Polynomial.zero() == p
+    assert p + ZERO == p
     assert parse_polynomial("x + y") + parse_polynomial("x - y") == parse_polynomial("2*x")
+    # a number on the left of - is read by the number rule, as on the right
+    x = parse_polynomial("x")
+    assert 1 - x == -(x - 1)
+    assert Fraction(1, 2) - x == -(x - Fraction(1, 2))
+    with pytest.raises(TypeError):
+        "a" - x
 
 
 def test_multiplication_examples():
@@ -344,7 +350,7 @@ def _random_poly_strategy():
                 for coeff, exps in terms
                 if coeff != 0
             ),
-            Polynomial.zero(),
+            ZERO,
         )
     )
 
@@ -385,17 +391,9 @@ def test_no_zero_coefficients_after_operations():
 
 def test_constant_helpers():
     assert Polynomial.constant(0).is_zero()
-    assert Polynomial.constant(Fraction(7, 2)).constant_value() == Fraction(7, 2)
-    assert Polynomial.variable("x", 0) == Polynomial.one()
+    assert Polynomial({(("x", 0),): 1}) == Polynomial.one()
     for one in (Polynomial.constant(True), Polynomial({(): True}), ZERO + True):
         assert one == 1 and type(one._terms[()]) is int
-    with pytest.raises(ValueError):
-        parse_polynomial("x + 1").constant_value()
-
-
-def test_total_degree():
-    p = parse_polynomial("x^2*y + z - 4")
-    assert p.total_degree() == 3
 
 
 # -- integral coefficients are stored as int, rationals as Fraction ----------
@@ -456,8 +454,6 @@ def test_integral_product_of_rationals_is_one():
     _check_stored_form(product)
     assert product.is_one()
     assert product == ONE and hash(product) == hash(ONE)
-    assert product.constant_value() == 1
-    assert type(product.constant_value()) is Fraction
 
 
 @pytest.mark.parametrize("value", [0, 1, -2, Fraction(1, 2), True])
@@ -470,7 +466,7 @@ def test_constant_hashes_as_the_number_it_equals(value):
 
 def test_parsed_and_computed_values_agree():
     parsed = parse_polynomial("3/2*x^2 - 4*x*y + 2")
-    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    x, y = Polynomial({(("x", 1),): 1}), Polynomial({(("y", 1),): 1})
     built = Fraction(3, 2) * x * x - Polynomial.constant(4) * x * y + 2
     halves = (Fraction(3, 4) * x * x - 2 * x * y + 1) * 2
     for value in (built, halves):
@@ -483,7 +479,7 @@ def test_parsed_and_computed_values_agree():
 
 
 def _naive_sum_of_products(pairs) -> Polynomial:
-    total = Polynomial.zero()
+    total = ZERO
     for p, q in pairs:
         total = total + naive_mul(p, q)
     return total
@@ -507,7 +503,7 @@ def test_sum_of_products_of_no_pairs_is_zero():
 
 
 def test_sum_of_products_drops_terms_that_cancel_across_pairs():
-    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    x, y = Polynomial({(("x", 1),): 1}), Polynomial({(("y", 1),): 1})
     # (x + y)x + (x - y)(-x) = 2xy: x^2 cancels across the two pairs
     partial = _dot([(x + y, x), (x - y, -x)])
     _check_stored_form(partial)
@@ -517,7 +513,7 @@ def test_sum_of_products_drops_terms_that_cancel_across_pairs():
 
 
 def test_sum_of_products_stores_integral_fraction_sums_as_int():
-    x = Polynomial.variable("x")
+    x = Polynomial({(("x", 1),): 1})
     half, third = Polynomial.constant(Fraction(1, 2)), Polynomial.constant(Fraction(1, 3))
     # 1/2 * 1/2x + 3/4x * 1 = x, and 1/3 * 1/2 + 5/6 * 1 = 1
     linear = _dot([(half, half * x), (Fraction(3, 4) * x, ONE)])
@@ -542,7 +538,7 @@ def test_sum_of_products_matches_a_sum_of_naive_products(raw_pairs, data):
 def test_packed_digits_do_not_carry_past_the_parser_bound():
     # arithmetic reaches exponents above MAX_EXPONENT; the largest exponent
     # of an operand sets the base, so its square still fits in one digit
-    x, y = Polynomial.variable("x", MAX_EXPONENT), Polynomial.variable("y")
+    x, y = Polynomial({(("x", MAX_EXPONENT),): 1}), Polynomial({(("y", 1),): 1})
     square = x * x
     assert square._terms == {(("x", 2 * MAX_EXPONENT),): 1}
     fourth = square * square

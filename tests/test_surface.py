@@ -3,7 +3,9 @@
 A public top-level function, or a public method of a public class, that no
 module of the package names (``__init__.py``'s re-exports aside) is code
 nothing runs: it is deleted, moved into ``tests/support.py`` as an oracle,
-or listed in ``KEPT`` with the reason it stays.  A function counts as used
+or listed in ``KEPT`` with the reason it stays.  A name that only tests call
+is deleted, unless it models a notion of the paper or the benchmark reads
+it; tests use the API that stays instead.  A function counts as used
 when some module mentions it as a name or an attribute; a method only when
 some module reads it as an attribute, so a local variable of the same name
 does not hide an unused method.  The modules are read as text, never
@@ -21,14 +23,7 @@ KEPT = {
     "l_iso": "paper notion: the isomorphism e (x) a -> a (x) e",
     "associator": "stays until a genuine associator on all of MF replaces it",
     "direct_sum": "the benchmark counter matrices.direct_sum_calls names it",
-    "PolyMatrix.zeros": "value constructor",
-    "Polynomial.zero": "value constructor",
-    "Polynomial.variable": "value constructor",
-    "Polynomial.constant_value": "value query",
-    "Polynomial.total_degree": "value query",
     "Polynomial.terms": "value query; bench/oracle.py and bench/layertrace.py read it",
-    "PolyMatrix.entry": "value query; the dense oracles in tests/support.py read it",
-    "MfMorphism.is_nonzero": "value query",
 }
 
 

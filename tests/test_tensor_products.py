@@ -254,7 +254,7 @@ def test_doubled_kronecker_matches_naive_oracle():
         (tall, wide),
         (wide, random_matrix(rng, 2, 2)),
         (eye3, tall),
-        (PolyMatrix.zeros(2, 2), random_matrix(rng, 1, 3)),
+        (PolyMatrix(2, 2, {}), random_matrix(rng, 1, 3)),
     ]
     for _ in range(40):
         shapes = [rng.randint(1, 3) for _ in range(4)]
