@@ -205,8 +205,8 @@ def check_semiunit_diagram1(
     e = e_object()
     objects = [
         mult_tensor(mult_tensor(e, a), b),
-        mult_tensor(e, mult_tensor(a, b)),
-        mult_tensor(mult_tensor(a, b), e),
+        mult_tensor(e, ab := mult_tensor(a, b)),
+        mult_tensor(ab, e),
         mult_tensor(mult_tensor(a, e), b),
         mult_tensor(a, mult_tensor(e, b)),
         mult_tensor(a, mult_tensor(b, e)),

@@ -6,7 +6,7 @@ map*: for each column, the row of its 1 or ``None``; the identity's map is
 ``range(n)``, so identities of any side cost O(1).  Every other matrix is a
 dict of its nonzero entries.  Column maps never leave this module.  The
 public constructor is the one checking door: it takes a mapping of entries
-only, reads each value by the number rule (a string as a literal), checks
+only, reads each non-``Polynomial`` value by ``Polynomial.constant``, checks
 every index, drops zeros and picks the backend, so the choice is canonical:
 the sub-permutation tests are O(1), and matrices on different backends are
 unequal.  Results that are in range, nonzero and canonical by construction
@@ -38,9 +38,9 @@ constructions, which double sizes, fail clearly instead of exhausting memory;
 :func:`kronecker` tests its size once and derives the a (x) b message only on
 failure.  Printing refuses a dense literal of over ``MAX_PRINT_ENTRIES`` entries.
 
-Matrix literals are read from one token list of the polynomial parser, each
-entry in place, so an error carries one position, counted from the start of
-the literal.
+Text is read only by :func:`parse_matrix`, from one token list of the
+polynomial parser, each entry in place, so an error carries one position,
+counted from the start of the literal.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, MatrixSyntaxError, ParseError, SizeGuardError
-from .polynomials import ONE, ZERO, Polynomial, _parse_sum, _position, _tokenize, parse_polynomial
-from .polynomials import _coerce, _packed_product
+from .polynomials import ONE, ZERO, Polynomial, _packed_product, _parse_sum, _position, _tokenize
 
 # The largest check suite (its maxpow cap is derived from this guard by
 # ``axiom_suites._e_powers``) reaches side 2**19; one power of two of headroom.
@@ -62,7 +61,7 @@ MAX_SIDE = 1 << 20
 # side-MAX_SIDE literal would need 2^40 entries.
 MAX_PRINT_ENTRIES = 1 << 22
 
-EntryLike = Polynomial | int | Fraction | str
+EntryLike = Polynomial | int | Fraction
 ColumnMap = Sequence[int | None]
 
 
@@ -75,14 +74,6 @@ def _guard(rows: int, cols: int) -> None:
         )
     if rows <= 0 or cols <= 0:
         raise DimensionMismatchError("matrix dimensions must be positive")
-
-
-def _coerce_entry(value) -> Polynomial:
-    # The number rule, plus one case of its own: a string is a literal.
-    p = parse_polynomial(value) if isinstance(value, str) else _coerce(value)
-    if p is None:
-        raise TypeError(f"cannot use {value!r} as a matrix entry")
-    return p
 
 
 def _canonical_map(rows: int, cols: int, column_map: tuple) -> ColumnMap:
@@ -114,7 +105,7 @@ class PolyMatrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
             if not isinstance(value, Polynomial):
-                value = _coerce_entry(value)
+                value = Polynomial.constant(value)
             if not value.is_zero():
                 cleaned[(i, j)] = value
                 ones = ones and value.is_one()

@@ -7,11 +7,12 @@ the denominator is not 1 (the public :attr:`Polynomial.terms` always reports
 with strictly positive integer exponents; the empty tuple is the constant
 monomial.  The zero polynomial has an empty term mapping.  The public
 constructor reads a term as the grammar does (a variable's exponents add up,
-zero exponents vanish) and a number as arithmetic does (an ``int`` or a
-``Fraction``, never a float or a string).  It raises ``ValueError`` for a name
-the parser would not read as that one variable or an exponent that is not a
-non-negative int, and ``TypeError`` for a coefficient that is not an exact
-rational.
+zero exponents vanish) and a number by the one number rule (an ``int`` or a
+``Fraction``, never a float or a string), as :meth:`Polynomial.constant` does.
+It raises ``TypeError`` for terms that are no mapping or a coefficient that is
+no exact rational, and ``ValueError`` for a monomial that is no tuple of
+``(name, exponent)`` pairs, a name the parser would not read as that one
+variable or an exponent that is not a non-negative int.
 
 All arithmetic is exact, so equality of polynomials is decidable and reliable;
 this is what makes every "diagram commutes" check in the rest of the library a
@@ -98,8 +99,13 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, Coefficient]):
         # The public, checking constructor; arithmetic uses _make instead.
+        if not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a mapping, not {type(terms).__name__}")
         normalized: dict[Monomial, Coefficient] = {}
         for monomial, coefficient in terms.items():
+            if not (isinstance(monomial, tuple)
+                    and all(isinstance(pair, tuple) and len(pair) == 2 for pair in monomial)):
+                raise ValueError(f"not a monomial of (name, exponent) pairs: {monomial!r}")
             for var, exp in monomial:
                 # the name rule: one token of the parser's, starting with a letter
                 if not (isinstance(var, str) and var[:1].isalpha() and _TOKEN.fullmatch(var)):
@@ -107,7 +113,7 @@ class Polynomial:
                 if not isinstance(exp, int) or exp < 0:
                     raise ValueError(f"exponent of {var} is not a non-negative int: {exp!r}")
             monomial = _monomial(monomial)
-            total = normalized.get(monomial, 0) + Polynomial.constant(coefficient)._terms.get((), 0)
+            total = normalized.get(monomial, 0) + _number(coefficient)
             if total:
                 normalized[monomial] = _num(total)
             else:
@@ -130,15 +136,9 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def one() -> "Polynomial":
-        return ONE
-
-    @staticmethod
     def constant(value: int | Fraction) -> "Polynomial":
-        p = None if isinstance(value, Polynomial) else _coerce(value)
-        if p is None:
-            raise TypeError(f"not an int or a Fraction: {value!r}")
-        return p
+        value = _number(value)
+        return _make({(): value}) if value else ZERO
 
     # -- queries -------------------------------------------------------------
 
@@ -233,15 +233,22 @@ class Polynomial:
         return f"Polynomial({canonical_string(self)!r})"
 
 
+def _number(value: object) -> Coefficient:
+    """The number rule: an ``int`` or a ``Fraction`` in stored form (a ``bool``
+    as the int it equals); ``TypeError`` for anything else, as for ``int()``."""
+    if isinstance(value, Fraction):
+        return _num(value)
+    if not isinstance(value, int):
+        raise TypeError(f"not an int or a Fraction: {value!r}")
+    return int(value)
+
+
 def _coerce(value: object) -> Polynomial | None:
-    """The number rule: a ``Polynomial`` as it is, an ``int`` or a ``Fraction``
-    as a constant (a ``bool`` as the int it equals), anything else ``None``."""
+    """An operand of arithmetic or ``==``: a ``Polynomial`` as it is, a number
+    as its constant, anything else ``None``."""
     if isinstance(value, Polynomial):
         return value
-    if not isinstance(value, (int, Fraction)):
-        return None
-    value = _num(value) if isinstance(value, Fraction) else int(value)
-    return _make({(): value}) if value else ZERO
+    return Polynomial.constant(value) if isinstance(value, (int, Fraction)) else None
 
 
 def _packed_product(
@@ -493,5 +500,5 @@ def random_polynomial(
         terms[monomial] = terms.get(monomial, 0) + coefficient
     total = Polynomial(terms)
     if not allow_zero and total.is_zero():
-        return Polynomial.one()
+        return ONE
     return total

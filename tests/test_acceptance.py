@@ -30,7 +30,7 @@ from mfcat.factorizations import (
     random_mf1,
 )
 from mfcat.matrices import PolyMatrix, parse_matrix
-from mfcat.polynomials import Polynomial, parse_polynomial
+from mfcat.polynomials import ONE, parse_polynomial
 from mfcat.reporting import PASS, XFAIL_OK
 from mfcat.t_subcategory import (
     connecting_morphism,
@@ -219,7 +219,7 @@ def test_criterion_09_mf1_not_semiunital():
     a = MatrixFactorization(
         parse_matrix("[[4, 3], [1, 1]]"),
         parse_matrix("[[1, -3], [-1, 4]]"),
-        Polynomial.one(),
+        ONE,
     )
     b = e_power(2)
     top = mult_tensor_morph_left(gamma(a), b)

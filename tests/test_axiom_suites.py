@@ -23,7 +23,7 @@ from mfcat.axiom_suites import (
 from mfcat.errors import MfcatError, NotEquivalentError, SizeGuardError, SquareFailureError
 from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
 from mfcat.matrices import PolyMatrix, parse_matrix
-from mfcat.polynomials import Polynomial
+from mfcat.polynomials import ONE
 from mfcat.reporting import FAIL, PASS, XFAIL_OK, aggregate_ok
 from mfcat.t_subcategory import (
     associator,
@@ -78,7 +78,7 @@ def test_pentagon_verdict_matches_composed_paths():
     # with equal vertices (no matrix-level suffix).
     powers = [e_power(k) for k in (1, 2, 3)]
     minus_one = MatrixFactorization(
-        PolyMatrix.from_rows([[-1]]), PolyMatrix.from_rows([[-1]]), Polynomial.one()
+        PolyMatrix.from_rows([[-1]]), PolyMatrix.from_rows([[-1]]), ONE
     )
     quadruples = list(itertools.product(powers, repeat=4))
     for seed, size in ((11, 2), (12, 3)):
@@ -244,7 +244,7 @@ def _recorded_instance():
     a = MatrixFactorization(
         parse_matrix("[[4, 3], [1, 1]]"),
         parse_matrix("[[1, -3], [-1, 4]]"),
-        Polynomial.one(),
+        ONE,
     )
     return a, e_power(2)
 
@@ -406,7 +406,7 @@ def test_rpm5_fails_when_the_unitor_sources_differ(monkeypatch):
 
     real = suites.rho
     other = MatrixFactorization(
-        parse_matrix("[[1, 0], [1, 1]]"), parse_matrix("[[1, 0], [-1, 1]]"), Polynomial.one()
+        parse_matrix("[[1, 0], [1, 1]]"), parse_matrix("[[1, 0], [-1, 1]]"), ONE
     )
     row = parse_matrix("[[1, 0]]")
 
@@ -564,7 +564,7 @@ def _reverse_later_calls(real):
 def _permutation(images):
     """The permutation matrix with a 1 at (i, images[i])."""
     n = len(images)
-    return PolyMatrix(n, n, {(i, j): Polynomial.one() for i, j in enumerate(images)})
+    return PolyMatrix(n, n, {(i, j): ONE for i, j in enumerate(images)})
 
 
 def _report_of(check_id, run):

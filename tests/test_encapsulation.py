@@ -5,7 +5,7 @@ entries (``_entries``), and only :mod:`mfcat.matrices` may read either or
 call its private helpers; the polynomial tokenizer is shared by
 :mod:`mfcat.polynomials` and the matrix-literal parser alone, and the
 sum-of-products kernel by ``*`` and the matrix product alone, and the
-number rule by polynomial arithmetic and matrix entries alone, the trusted
+number rule by the polynomial module alone, the trusted
 object and morphism constructors by the closed constructions alone; verdicts
 (:mod:`mfcat.reporting`) by the check layer and the CLI alone, and within
 the check layer by its one verdict rule but for a listed few.  A module
@@ -26,7 +26,7 @@ MATRIX_PRIVATE = re.compile(
 PARSER_PRIVATE = re.compile(r"\b(?:_tokenize|_position|_parse_sum)\b")
 KERNEL_PRIVATE = re.compile(r"\b_packed_product\b")
 TRUSTED_CONSTRUCTORS = re.compile(r"\b(?:_make_factorization|_make_morphism)\b")
-NUMBER_RULE = re.compile(r"\b_coerce\b")
+NUMBER_RULE = re.compile(r"\b(?:_coerce|_number)\b")
 
 
 def _uses(pattern):
@@ -73,10 +73,10 @@ def test_trusted_constructors_stay_with_the_closed_constructions():
     assert uses == {}
 
 
-def test_number_rule_stays_in_the_two_arithmetic_modules():
+def test_number_rule_stays_in_the_polynomial_module():
+    # every other module reads a number through Polynomial.constant
     uses = _uses(NUMBER_RULE)
-    assert uses.pop("polynomials.py") == ["_coerce"]
-    assert uses.pop("matrices.py") == ["_coerce"]
+    assert uses.pop("polynomials.py") == ["_coerce", "_number"]
     assert uses == {}
 
 

@@ -19,7 +19,6 @@ from mfcat.errors import MfcatError
 SRC = Path(__file__).resolve().parent.parent / "src" / "mfcat"
 
 PROGRAMMING_ERRORS = {
-    ("_coerce_entry", "TypeError"): "a matrix entry of a type that is no polynomial or number",
     ("_guard", "TypeError"): "a matrix side that is no int (a float, a bool), which would "
     "otherwise be accepted and fail only when the matrix is printed or multiplied",
     ("PolyMatrix.__init__", "TypeError"): "entries that are no mapping, such as a column map, "
@@ -33,10 +32,13 @@ PROGRAMMING_ERRORS = {
     ("MfMorphism.__init__", "TypeError"): "an endpoint that is no MatrixFactorization or a "
     "component that is no PolyMatrix (a list of rows, None), which would otherwise end in an "
     "AttributeError; the morphism door coerces nothing",
-    ("Polynomial.__init__", "ValueError"): "a variable the scanner would not read as one "
-    "whole name, or an exponent that is not a non-negative int",
-    ("Polynomial.constant", "TypeError"): "a coefficient that is no exact rational (a float "
-    "or a string), as for int()",
+    ("Polynomial.__init__", "TypeError"): "terms that are no mapping (a list of pairs), which "
+    "would otherwise end in an AttributeError",
+    ("Polynomial.__init__", "ValueError"): "a monomial that is no tuple of (name, exponent) "
+    "pairs, which would otherwise end in a failed unpacking, a variable the scanner would not "
+    "read as one whole name, or an exponent that is not a non-negative int",
+    ("_number", "TypeError"): "a coefficient, constant or matrix entry that is no exact "
+    "rational (a float, or a string: text is read only by the parsers), as for int()",
 }
 
 

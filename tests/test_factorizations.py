@@ -23,7 +23,7 @@ from mfcat.factorizations import (
     random_mf1,
 )
 from mfcat.matrices import PolyMatrix, parse_matrix
-from mfcat.polynomials import ZERO, Polynomial, parse_polynomial, random_polynomial
+from mfcat.polynomials import ONE, ZERO, Polynomial, parse_polynomial, random_polynomial
 from mfcat.tensor_products import mult_tensor, mult_tensor_morph_pair, yoshino_tensor
 
 from support import (
@@ -45,7 +45,7 @@ def intro_factorization():
 
 def trivial_e():
     eye = PolyMatrix.identity(1)
-    return MatrixFactorization(eye, eye, Polynomial.one())
+    return MatrixFactorization(eye, eye, ONE)
 
 
 def test_intro_example_validates():
@@ -74,7 +74,7 @@ def test_not_square_and_size_mismatch():
         )
     with pytest.raises(SizeMismatchError):
         MatrixFactorization(
-            PolyMatrix.identity(2), PolyMatrix.identity(3), Polynomial.one()
+            PolyMatrix.identity(2), PolyMatrix.identity(3), ONE
         )
 
 
@@ -83,8 +83,8 @@ def test_not_square_and_size_mismatch():
     [
         (PolyMatrix.identity(1), PolyMatrix.identity(1), 1),
         (PolyMatrix.identity(1), PolyMatrix.identity(1), "1"),
-        ([[1]], PolyMatrix.identity(1), Polynomial.one()),
-        (PolyMatrix.identity(1), [[1]], Polynomial.one()),
+        ([[1]], PolyMatrix.identity(1), ONE),
+        (PolyMatrix.identity(1), [[1]], ONE),
     ],
     ids=["int-potential", "str-potential", "list-phi", "list-psi"],
 )
@@ -128,7 +128,7 @@ def test_morphism_identity_and_zeta1():
     e = trivial_e()
     assert e.identity_morphism().alpha == PolyMatrix.identity(1)
     e2 = MatrixFactorization(
-        PolyMatrix.identity(2), PolyMatrix.identity(2), Polynomial.one()
+        PolyMatrix.identity(2), PolyMatrix.identity(2), ONE
     )
     column = parse_matrix("[[1], [0]]")
     zeta1 = MfMorphism(e, e2, column, column)
@@ -148,7 +148,7 @@ def test_morphism_potential_and_shape_errors():
     with pytest.raises(PotentialMismatchError):
         MfMorphism(e, x, PolyMatrix(2, 1, {}), PolyMatrix(2, 1, {}))
     e2 = MatrixFactorization(
-        PolyMatrix.identity(2), PolyMatrix.identity(2), Polynomial.one()
+        PolyMatrix.identity(2), PolyMatrix.identity(2), ONE
     )
     with pytest.raises(ShapeMismatchError):
         MfMorphism(e, e2, PolyMatrix(1, 2, {}), PolyMatrix(1, 2, {}))
@@ -163,7 +163,7 @@ def test_zero_morphism_is_accepted():
 def test_compose_section_retraction():
     e = trivial_e()
     e2 = MatrixFactorization(
-        PolyMatrix.identity(2), PolyMatrix.identity(2), Polynomial.one()
+        PolyMatrix.identity(2), PolyMatrix.identity(2), ONE
     )
     zeta1 = MfMorphism(e, e2, parse_matrix("[[1], [0]]"), parse_matrix("[[1], [0]]"))
     zeta2 = MfMorphism(e2, e, parse_matrix("[[1, 0]]"), parse_matrix("[[1, 0]]"))
@@ -218,7 +218,7 @@ def test_mf_equality():
     assert x == x
     e = trivial_e()
     e2 = MatrixFactorization(
-        PolyMatrix.identity(2), PolyMatrix.identity(2), Polynomial.one()
+        PolyMatrix.identity(2), PolyMatrix.identity(2), ONE
     )
     assert e != e2
     assert x != x.syzygy()  # phi != psi here
@@ -244,7 +244,7 @@ def test_transvection_inverse_shape():
     p = parse_polynomial("x")
     fwd = parse_matrix("[[1, x], [0, 1]]")
     back = parse_matrix("[[1, -x], [0, 1]]")
-    MatrixFactorization(fwd, back, Polynomial.one())
+    MatrixFactorization(fwd, back, ONE)
     assert fwd @ back == PolyMatrix.identity(2)
     assert p is not None
 

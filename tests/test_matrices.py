@@ -110,8 +110,8 @@ def test_direct_sum_examples():
     x = parse_matrix("[[x]]")
     y = parse_matrix("[[y]]")
     assert direct_sum(x, y) == parse_matrix("[[x, 0], [0, y]]")
-    a = PolyMatrix.from_rows([["x", "y"]])
-    b = PolyMatrix.from_rows([["1", "z"]])
+    a = parse_matrix("[[x, y]]")
+    b = parse_matrix("[[1, z]]")
     stacked = direct_sum(a, b)
     assert (stacked.rows, stacked.cols) == (2, 4)
 
@@ -147,7 +147,7 @@ def test_sub_permutation_predicate():
     assert not PolyMatrix.from_rows([[1, 1], [0, 0]]).is_sub_permutation01()
     assert PolyMatrix(3, 3, {}).is_sub_permutation01()
     assert not PolyMatrix.from_rows([[2]]).is_sub_permutation01()
-    assert not PolyMatrix.from_rows([["x"]]).is_sub_permutation01()
+    assert not parse_matrix("[[x]]").is_sub_permutation01()
 
 
 def test_permutation_predicate():
@@ -203,7 +203,7 @@ def test_size_guard():
     )
     # fewer than one copy is refused on the identity, map and entry paths
     swap = PolyMatrix.permutation([1, 0])
-    dense = PolyMatrix.from_rows([["x", 1], [0, "y"]])
+    dense = parse_matrix("[[x, 1], [0, y]]")
     for a, b in ((big, PolyMatrix.identity(1)), (swap, swap), (dense, swap), (dense, dense)):
         for copies in (0, -1):
             with pytest.raises(DimensionMismatchError, match="must be positive"):
@@ -220,7 +220,7 @@ def test_kronecker_guards_only_a_failing_size(monkeypatch):
         return guard(rows, cols)
 
     guard = matrices._guard
-    swap, x = PolyMatrix.permutation([1, 0]), PolyMatrix.from_rows([["x", "y"], [0, "x"]])
+    swap, x = PolyMatrix.permutation([1, 0]), parse_matrix("[[x, y], [0, x]]")
     big, one = PolyMatrix.identity(MAX_SIDE // 2 + 1), PolyMatrix.identity(1)
     # identity (x) identity, map (x) map and dict (x) dict
     pairs = [(PolyMatrix.identity(2), PolyMatrix.identity(3)), (swap, swap), (x, x)]
@@ -464,15 +464,15 @@ def _kronecker_factor(draw):
 
 @given(_kronecker_factor(), _kronecker_factor(), st.integers(1, 3))
 @example(PolyMatrix(2, 1, {}), _CYCLE, 2)  # a zero factor on the map path
-@example(PolyMatrix.from_rows([["x + 1", 2]]), PolyMatrix(1, 2, {}), 1)  # on the entry path
+@example(parse_matrix("[[x + 1, 2]]"), PolyMatrix(1, 2, {}), 1)  # on the entry path
 @example(PolyMatrix.identity(1), PolyMatrix.permutation([1, 0]), 3)  # a 1x1 factor
 @example(-PolyMatrix.identity(1), -PolyMatrix.identity(1), 3)  # (-1)(-1): the identity
 @example(  # twice _CYCLE (x) a halved swap: a permutation
     PolyMatrix.from_rows([[0, 0, 2], [2, 0, 0], [0, 2, 0]]),
-    PolyMatrix.from_rows([[0, "1/2"], ["1/2", 0]]),
+    parse_matrix("[[0, 1/2], [1/2, 0]]"),
     2,
 )
-@example(PolyMatrix.from_rows([[2, 2]]), PolyMatrix.from_rows([["1/2"]]), 1)  # 1s, not a map
+@example(PolyMatrix.from_rows([[2, 2]]), parse_matrix("[[1/2]]"), 1)  # 1s, not a map
 def test_kronecker_products_are_built_as_checked(a, b, copies):
     expected = naive_kronecker(PolyMatrix.identity(copies), naive_kronecker(a, b))
     _assert_built_as_checked(kronecker(a, b, copies), expected)
@@ -542,7 +542,7 @@ def test_one_by_one_products_are_the_polynomial_product():
                 PolyMatrix.from_rows([[p]]), PolyMatrix.from_rows([[q]])
             )
     # 1/2 * 2 is 1: a 1x1 product of constants can land on the map backend
-    half, two = PolyMatrix.from_rows([["1/2"]]), PolyMatrix.from_rows([[2]])
+    half, two = parse_matrix("[[1/2]]"), PolyMatrix.from_rows([[2]])
     assert (half @ two).is_identity()
 
 
@@ -679,14 +679,13 @@ def test_permutation_rejects_non_permutations(images):
 
 def test_both_doors_read_entries_by_the_number_rule():
     # The constructor and ``from_rows`` read a value alike: a Polynomial as
-    # it is, an int, Fraction or bool as a constant, a string as a literal.
+    # it is, an int, Fraction or bool as a constant.
     assert PolyMatrix(2, 2, {(0, 0): 1}) == PolyMatrix.from_rows([[1, 0], [0, 0]])
     for value, expected in [
         (parse_polynomial("x + 1"), parse_polynomial("x + 1")),
         (3, Polynomial.constant(3)),
         (Fraction(-2, 3), Polynomial.constant(Fraction(-2, 3))),
         (True, ONE),
-        ("x", parse_polynomial("x")),
         (0, ZERO),
     ]:
         for m in (PolyMatrix(1, 2, {(0, 0): value}), PolyMatrix.from_rows([[value, 0]])):
@@ -699,22 +698,25 @@ def test_both_doors_read_entries_by_the_number_rule():
         lambda: PolyMatrix(1, 1, {(0, 0): 0.5}),
         lambda: PolyMatrix.from_rows([[0.5]]),
         lambda: PolyMatrix(1, 1, {(0, 0): None}),
+        lambda: PolyMatrix(1, 1, {(0, 0): "x"}),  # text is read only by parse_matrix
+        lambda: PolyMatrix.from_rows([["x"]]),
         lambda: PolyMatrix.from_rows(["x1"]),
         lambda: PolyMatrix.from_rows("ab"),
         lambda: PolyMatrix.from_rows([[1, 2], "ab"]),
         lambda: PolyMatrix(2.0, 2, {}),
         lambda: PolyMatrix(2, True, {}),
         lambda: PolyMatrix.identity(2.0),
-        lambda: PolyMatrix(2, 2, {(0.5, 0): "x"}),
-        lambda: PolyMatrix(2, 2, {(0, False): "x"}),
-        lambda: PolyMatrix(2, 2, {(2.0, 0): "x"}),  # out of range too: the type is refused first
+        lambda: PolyMatrix(2, 2, {(0.5, 0): 1}),
+        lambda: PolyMatrix(2, 2, {(0, False): 1}),
+        lambda: PolyMatrix(2, 2, {(2.0, 0): 1}),  # out of range too: the type is refused first
         lambda: PolyMatrix(2, 2, {(0, 0, 0): 1}),  # keys that are no pair are refused unread
         lambda: PolyMatrix(2, 2, {(0,): 1}),
         lambda: PolyMatrix(2, 2, {5: 1}),
     ],
-    ids=["float-entry", "float-row", "none-entry", "string-row", "string-rows", "string-second-row",
-         "float-side", "bool-side", "identity-float-side", "float-index",
-         "bool-index", "float-index-out-of-range", "triple-index", "single-index", "int-index"],
+    ids=["float-entry", "float-row", "none-entry", "string-entry", "string-in-row", "string-row",
+         "string-rows", "string-second-row", "float-side", "bool-side", "identity-float-side",
+         "float-index", "bool-index", "float-index-out-of-range", "triple-index", "single-index",
+         "int-index"],
 )
 def test_doors_raise_type_error_on_inputs_they_do_not_read(build):
     with pytest.raises(TypeError):

@@ -91,7 +91,7 @@ def test_parse_repeated_variable_multiplies():
 
 
 def test_parse_exponent_zero_folds_to_constant():
-    assert parse_polynomial("x^0") == Polynomial.one()
+    assert parse_polynomial("x^0") == ONE
 
 
 def test_syntax_error_carries_position():
@@ -188,13 +188,26 @@ def test_constructor_reads_a_term_as_the_parser_does(terms):
         (lambda: Polynomial({(): "1/3"}), TypeError),
         (lambda: Polynomial.constant(0.1), TypeError),
         (lambda: PolyMatrix.from_rows([[0.1]]), TypeError),
+        (lambda: Polynomial([((), 1)]), TypeError),
+        (lambda: Polynomial({"x": 1}), ValueError),
+        (lambda: Polynomial({("x", 2): 1}), ValueError),
+        (lambda: Polynomial({5: 1}), ValueError),
     ],
     ids=["2x", "space-x", "underscore-x", "empty-name", "exponent-1", "exponent-1.5",
-         "float-coefficient", "str-coefficient", "float-constant", "float-entry"],
+         "float-coefficient", "str-coefficient", "float-constant", "float-entry",
+         "list-terms", "string-monomial", "pair-monomial", "int-monomial"],
 )
 def test_constructor_rejects_what_the_parser_would_not_read(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("monomial", ["x", ("x", 2), 5, (("x",),), (("x", 1, 2),)], ids=repr)
+def test_constructor_names_a_monomial_that_is_no_tuple_of_pairs(monomial):
+    # refused before anything is unpacked, not by a failed unpacking
+    with pytest.raises(ValueError) as info:
+        Polynomial({monomial: 1})
+    assert str(info.value) == f"not a monomial of (name, exponent) pairs: {monomial!r}"
 
 
 @pytest.mark.parametrize(
@@ -330,7 +343,7 @@ def test_addition_identity_and_cancellation():
 def test_multiplication_examples():
     assert parse_polynomial("x + y") * parse_polynomial("x - y") == parse_polynomial("x^2 - y^2")
     p = parse_polynomial("x^2 + 3*y")
-    assert p * Polynomial.one() == p
+    assert p * ONE == p
     # single-term product, checked against term-by-term expansion
     lhs = parse_polynomial("x^2") * parse_polynomial("y^2")
     assert lhs == naive_mul(parse_polynomial("x^2"), parse_polynomial("y^2"))
@@ -391,7 +404,7 @@ def test_no_zero_coefficients_after_operations():
 
 def test_constant_helpers():
     assert Polynomial.constant(0).is_zero()
-    assert Polynomial({(("x", 0),): 1}) == Polynomial.one()
+    assert Polynomial({(("x", 0),): 1}) == ONE
     for one in (Polynomial.constant(True), Polynomial({(): True}), ZERO + True):
         assert one == 1 and type(one._terms[()]) is int
 

@@ -10,7 +10,7 @@ from mfcat.errors import (
 )
 from mfcat.factorizations import MatrixFactorization, MfMorphism, random_mf1
 from mfcat.matrices import PolyMatrix, direct_sum, parse_matrix
-from mfcat.polynomials import Polynomial
+from mfcat.polynomials import ONE
 from mfcat.t_subcategory import (
     _canonical_pair,
     associator,
@@ -44,7 +44,7 @@ from support import (
 UNIMODULAR_PAIR = MatrixFactorization(
     parse_matrix("[[4, 3], [1, 1]]"),
     parse_matrix("[[1, -3], [-1, 4]]"),
-    Polynomial.one(),
+    ONE,
 )
 
 
@@ -60,7 +60,7 @@ def test_e_power_ladder():
 def test_e_object_is_one_shared_value():
     assert e_object() is e_object()
     eye = PolyMatrix.identity(1)
-    assert e_object() == MatrixFactorization(eye, eye, Polynomial.one())
+    assert e_object() == MatrixFactorization(eye, eye, ONE)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -74,7 +74,7 @@ def test_is_e_power():
     assert is_e_power(e_power(4))
     assert not is_e_power(UNIMODULAR_PAIR)
     three = PolyMatrix.identity(3)
-    assert not is_e_power(MatrixFactorization(three, three, Polynomial.one()))
+    assert not is_e_power(MatrixFactorization(three, three, ONE))
 
 
 def test_is_t_morphism_accepts_zeta1():
@@ -127,7 +127,7 @@ def test_connecting_morphism_matches_stacked_construction():
 
 
 def _identity_object(n: int) -> MatrixFactorization:
-    return MatrixFactorization(PolyMatrix.identity(n), PolyMatrix.identity(n), Polynomial.one())
+    return MatrixFactorization(PolyMatrix.identity(n), PolyMatrix.identity(n), ONE)
 
 
 _DIVIDING_SHAPES = sorted(
@@ -159,7 +159,7 @@ def test_unitor_matrices_match_stacked_construction():
         row = dense_hstack(PolyMatrix.identity(n), PolyMatrix(n, n, {}))
         square = dense_vstack(row, dense_hstack(PolyMatrix(n, n, {}), PolyMatrix.identity(n)))
         for obj in (random_mf1(n, n, 3), MatrixFactorization(
-            PolyMatrix.identity(n), PolyMatrix.identity(n), Polynomial.one()
+            PolyMatrix.identity(n), PolyMatrix.identity(n), ONE
         )):
             assert gamma(obj).alpha == column and gamma(obj).beta == column
             assert lambda_(obj).alpha == row and lambda_(obj).beta == row
@@ -172,7 +172,7 @@ def test_is_identity_agrees_with_comparing_to_the_identity_morphism():
     morphisms = []
     for obj in (e_object(), e_power(3), UNIMODULAR_PAIR, random_mf1(5, 3, 4)):
         n = obj.size
-        eye_entries = PolyMatrix(n, n, {(k, k): Polynomial.one() for k in range(n)})
+        eye_entries = PolyMatrix(n, n, {(k, k): ONE for k in range(n)})
         morphisms += [
             obj.identity_morphism(),
             MfMorphism(obj, obj, eye_entries, eye_entries),  # from entries; stored as range(n)
@@ -275,7 +275,7 @@ def test_associator_on_e_powers():
 
 def test_associator_rejects_noncentral_leftmost_factor():
     swap = parse_matrix("[[0, 1], [1, 0]]")
-    involution = MatrixFactorization(swap, swap, Polynomial.one())
+    involution = MatrixFactorization(swap, swap, ONE)
     with pytest.raises(AssociativityMismatchError):
         associator(involution, e_object(), e_object())
     # but it is fine with the non-central object in the rightmost slot
